@@ -263,9 +263,7 @@ impl Scenario {
         // form (and reproducer hash) is unchanged from before fault plans
         // existed.
         if let Some(plan) = &self.faults {
-            let embedded =
-                Json::parse(&plan.to_json_text()).expect("fault plan renders valid JSON");
-            m.insert("faults".to_string(), embedded);
+            m.insert("faults".to_string(), plan.to_value());
         }
         Json::Obj(m)
     }
@@ -306,9 +304,7 @@ impl Scenario {
             .unwrap_or(false);
         let faults = match v.get("faults") {
             None => None,
-            Some(f) => Some(
-                FaultPlan::from_json_text(&f.to_compact()).map_err(|e| format!("scenario: {e}"))?,
-            ),
+            Some(f) => Some(FaultPlan::from_value(f).map_err(|e| format!("scenario: {e}"))?),
         };
         Ok(Scenario {
             name,

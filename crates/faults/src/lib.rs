@@ -35,8 +35,8 @@
 //! use chats_faults::{FaultKind, FaultPlan, FaultState};
 //!
 //! let plan = FaultPlan::lossy_noc();
-//! let text = plan.to_value().to_json();
-//! let back = FaultPlan::from_value(&serde::Value::from_json(&text).unwrap()).unwrap();
+//! let text = plan.to_value().to_compact();
+//! let back = FaultPlan::from_value(&serde::Value::parse(&text).unwrap()).unwrap();
 //! assert_eq!(back, plan);
 //! assert_eq!(back.hash(), plan.hash());
 //!
@@ -255,10 +255,10 @@ fn section<'a>(
     v: &'a Value,
     key: &str,
 ) -> Result<std::borrow::Cow<'a, BTreeMap<String, Value>>, String> {
-    match v.as_map().and_then(|m| m.get(key)) {
+    match v.as_obj().and_then(|m| m.get(key)) {
         None => Ok(std::borrow::Cow::Owned(BTreeMap::new())),
         Some(s) => s
-            .as_map()
+            .as_obj()
             .map(std::borrow::Cow::Borrowed)
             .ok_or_else(|| format!("fault plan: '{key}' is not an object")),
     }
@@ -365,7 +365,7 @@ impl FaultPlan {
         .into_iter()
         .map(|(k, v)| (k.to_string(), Value::U64(v)))
         .collect();
-        Value::Map(
+        Value::Obj(
             [
                 ("version".to_string(), Value::U64(FAULT_FORMAT_VERSION)),
                 ("name".to_string(), Value::Str(self.name.clone())),
@@ -374,9 +374,9 @@ impl FaultPlan {
                     "watchdog_horizon".to_string(),
                     Value::U64(self.watchdog_horizon),
                 ),
-                ("noc".to_string(), Value::Map(noc)),
-                ("htm".to_string(), Value::Map(htm)),
-                ("protocol".to_string(), Value::Map(proto)),
+                ("noc".to_string(), Value::Obj(noc)),
+                ("htm".to_string(), Value::Obj(htm)),
+                ("protocol".to_string(), Value::Obj(proto)),
             ]
             .into_iter()
             .collect(),
@@ -391,7 +391,7 @@ impl FaultPlan {
     /// Returns a message for non-object input, an unsupported `version`,
     /// or a permille knob above 1000.
     pub fn from_value(v: &Value) -> Result<FaultPlan, String> {
-        let top = v.as_map().ok_or("fault plan: not a JSON object")?;
+        let top = v.as_obj().ok_or("fault plan: not a JSON object")?;
         let version = top
             .get("version")
             .and_then(Value::as_u64)
@@ -437,25 +437,6 @@ impl FaultPlan {
         })
     }
 
-    /// The plan as pretty JSON text (the `plans/*.json` file content).
-    #[must_use]
-    pub fn to_json_text(&self) -> String {
-        self.to_value().to_json()
-    }
-
-    /// Parses a plan from JSON text (inverse of [`FaultPlan::to_json_text`];
-    /// lets callers embed plans in their own JSON documents without
-    /// depending on this crate's value type).
-    ///
-    /// # Errors
-    ///
-    /// Returns the JSON parse error or the schema error from
-    /// [`FaultPlan::from_value`].
-    pub fn from_json_text(text: &str) -> Result<FaultPlan, String> {
-        let v = Value::from_json(text)?;
-        FaultPlan::from_value(&v)
-    }
-
     /// Loads a plan from a JSON file.
     ///
     /// # Errors
@@ -463,7 +444,9 @@ impl FaultPlan {
     /// Returns a message naming the path for I/O, JSON or schema problems.
     pub fn load(path: &Path) -> Result<FaultPlan, String> {
         let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-        FaultPlan::from_json_text(&text).map_err(|e| format!("{}: {e}", path.display()))
+        Value::parse(&text)
+            .and_then(|v| FaultPlan::from_value(&v))
+            .map_err(|e| format!("{}: {e}", path.display()))
     }
 
     // ---- shipped plans -------------------------------------------------
@@ -827,8 +810,8 @@ mod tests {
     fn shipped_plans_round_trip_and_hash_distinctly() {
         let mut hashes = std::collections::HashSet::new();
         for plan in FaultPlan::shipped() {
-            let text = plan.to_value().to_json();
-            let back = FaultPlan::from_value(&Value::from_json(&text).unwrap()).unwrap();
+            let text = plan.to_value().to_compact();
+            let back = FaultPlan::from_value(&Value::parse(&text).unwrap()).unwrap();
             assert_eq!(back, plan, "{} must round-trip", plan.name);
             assert!(hashes.insert(plan.hash()), "{} hash collides", plan.name);
         }
@@ -836,7 +819,7 @@ mod tests {
 
     #[test]
     fn missing_knobs_default_to_zero() {
-        let v = Value::from_json(r#"{"name":"tiny","noc":{"drop_permille":5,"drop_timeout":100}}"#)
+        let v = Value::parse(r#"{"name":"tiny","noc":{"drop_permille":5,"drop_timeout":100}}"#)
             .unwrap();
         let p = FaultPlan::from_value(&v).unwrap();
         assert_eq!(p.name, "tiny");
@@ -848,7 +831,7 @@ mod tests {
 
     #[test]
     fn permille_over_1000_is_rejected() {
-        let v = Value::from_json(r#"{"noc":{"drop_permille":1001}}"#).unwrap();
+        let v = Value::parse(r#"{"noc":{"drop_permille":1001}}"#).unwrap();
         let err = FaultPlan::from_value(&v).unwrap_err();
         assert!(err.contains("drop_permille"), "{err}");
     }

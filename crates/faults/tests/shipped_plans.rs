@@ -15,7 +15,7 @@ fn shipped_plans_match_the_plans_directory() {
         let path = dir.join(format!("{}.json", plan.name));
         if std::env::var_os("UPDATE_PLANS").is_some() {
             std::fs::create_dir_all(&dir).unwrap();
-            std::fs::write(&path, plan.to_json_text()).unwrap();
+            std::fs::write(&path, plan.to_value().to_compact()).unwrap();
         }
         let loaded = FaultPlan::load(&path).unwrap_or_else(|e| {
             panic!("{e}\nregenerate with UPDATE_PLANS=1 cargo test -p chats-faults")

@@ -178,7 +178,7 @@ fn cmd_record(args: &Args) -> Result<(), String> {
         eprintln!("chats-trace: warning: {dropped} events dropped (write errors)");
     }
 
-    let meta = Value::Map(
+    let meta = Value::Obj(
         [
             ("workload".to_string(), Value::Str(name.to_string())),
             (
@@ -196,7 +196,7 @@ fn cmd_record(args: &Args) -> Result<(), String> {
         .collect(),
     );
     let mp = meta_path(out);
-    std::fs::write(&mp, meta.to_json()).map_err(|e| format!("{}: {e}", mp.display()))?;
+    std::fs::write(&mp, meta.to_compact()).map_err(|e| format!("{}: {e}", mp.display()))?;
     println!(
         "recorded {name} under {} for {} cycles ({} commits) -> {} (+ {})",
         args.system.label(),
@@ -220,8 +220,8 @@ fn load_timeline(args: &Args) -> Result<(Timeline, ProfileMeta, u64), String> {
     let mut dropped = 0;
     let mp = meta_path(path);
     if let Ok(text) = std::fs::read_to_string(&mp) {
-        let v = Value::from_json(&text).map_err(|e| format!("{}: {e}", mp.display()))?;
-        if let Some(m) = v.as_map() {
+        let v = Value::parse(&text).map_err(|e| format!("{}: {e}", mp.display()))?;
+        if let Some(m) = v.as_obj() {
             if cycles.is_none() {
                 cycles = m.get("cycles").and_then(Value::as_u64);
             }
@@ -278,7 +278,7 @@ fn cmd_export(args: &Args) -> Result<(), String> {
     let out = args.out.as_deref().ok_or("export needs --out")?;
     let (tl, _, _) = load_timeline(args)?;
     let v = chrome_trace(&tl);
-    std::fs::write(out, v.to_json()).map_err(|e| format!("{}: {e}", out.display()))?;
+    std::fs::write(out, v.to_compact()).map_err(|e| format!("{}: {e}", out.display()))?;
     println!(
         "exported {} slices across {} cores -> {} (load at https://ui.perfetto.dev)",
         tl.cores.iter().map(|c| c.attempts.len()).sum::<usize>(),

@@ -14,7 +14,7 @@ use serde::Value;
 use std::collections::BTreeMap;
 
 fn map(entries: Vec<(&str, Value)>) -> Value {
-    Value::Map(
+    Value::Obj(
         entries
             .into_iter()
             .map(|(k, v)| (k.to_string(), v))
@@ -27,7 +27,7 @@ fn str_v(s: impl Into<String>) -> Value {
 }
 
 /// Renders `timeline` as a Chrome-trace JSON value; serialize it with
-/// [`Value::to_json`] and load the result in Perfetto or
+/// [`Value::to_compact`] and load the result in Perfetto or
 /// `chrome://tracing`.
 #[must_use]
 pub fn chrome_trace(tl: &Timeline) -> Value {
@@ -152,7 +152,7 @@ pub fn chrome_trace(tl: &Timeline) -> Value {
     }
 
     map(vec![
-        ("traceEvents", Value::Seq(events)),
+        ("traceEvents", Value::Arr(events)),
         ("displayTimeUnit", str_v("ns")),
         (
             "otherData",
@@ -202,11 +202,11 @@ mod tests {
     }
 
     fn slices_of<'v>(v: &'v Value, ph: &str) -> Vec<&'v std::collections::BTreeMap<String, Value>> {
-        v.as_map().unwrap()["traceEvents"]
-            .as_seq()
+        v.as_obj().unwrap()["traceEvents"]
+            .as_arr()
             .unwrap()
             .iter()
-            .map(|e| e.as_map().unwrap())
+            .map(|e| e.as_obj().unwrap())
             .filter(|m| m["ph"].as_str() == Some(ph))
             .collect()
     }
@@ -272,8 +272,8 @@ mod tests {
     #[test]
     fn output_is_valid_json() {
         let v = chrome_trace(&forwarded_pair());
-        let text = v.to_json();
-        let back = Value::from_json(&text).unwrap();
+        let text = v.to_compact();
+        let back = Value::parse(&text).unwrap();
         assert_eq!(back, v);
     }
 }

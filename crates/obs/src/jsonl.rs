@@ -100,7 +100,7 @@ impl<W: Write + 'static> TraceSink for JsonlSink<W> {
             self.dropped += 1;
             return;
         };
-        let mut line = ev.to_value().to_json();
+        let mut line = ev.to_value().to_compact();
         line.push('\n');
         if out.write_all(line.as_bytes()).is_ok() {
             self.written += 1;
@@ -147,7 +147,7 @@ pub fn read_jsonl<R: BufRead>(reader: R) -> Result<Vec<TraceEvent>, String> {
         if line.trim().is_empty() {
             continue;
         }
-        let value = Value::from_json(&line).map_err(|e| format!("line {}: {e}", idx + 1))?;
+        let value = Value::parse(&line).map_err(|e| format!("line {}: {e}", idx + 1))?;
         let ev = TraceEvent::from_value(&value).map_err(|e| format!("line {}: {e}", idx + 1))?;
         events.push(ev);
     }

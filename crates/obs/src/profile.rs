@@ -28,7 +28,7 @@ fn breakdown_value(b: &CycleBreakdown) -> Value {
     );
     m.insert("fallback".to_string(), Value::U64(b.fallback));
     m.insert("other".to_string(), Value::U64(b.other));
-    Value::Map(m)
+    Value::Obj(m)
 }
 
 /// Builds the profile JSON value for `timeline`.
@@ -46,7 +46,7 @@ pub fn profile_value(tl: &Timeline, meta: &ProfileMeta) -> Value {
     root.insert("aggregate".to_string(), breakdown_value(&tl.aggregate()));
     root.insert(
         "cores".to_string(),
-        Value::Seq(
+        Value::Arr(
             tl.cores
                 .iter()
                 .map(|c| breakdown_value(&c.breakdown))
@@ -58,7 +58,7 @@ pub fn profile_value(tl: &Timeline, meta: &ProfileMeta) -> Value {
     chains.insert("forwardings".to_string(), Value::U64(tl.chains.forwardings));
     chains.insert(
         "pic_depth_hist".to_string(),
-        Value::Map(
+        Value::Obj(
             tl.chains
                 .pic_depth_hist
                 .iter()
@@ -68,7 +68,7 @@ pub fn profile_value(tl: &Timeline, meta: &ProfileMeta) -> Value {
     );
     chains.insert(
         "chain_len_hist".to_string(),
-        Value::Map(
+        Value::Obj(
             tl.chains
                 .chain_len_hist
                 .iter()
@@ -78,7 +78,7 @@ pub fn profile_value(tl: &Timeline, meta: &ProfileMeta) -> Value {
     );
     chains.insert(
         "graph".to_string(),
-        Value::Seq(
+        Value::Arr(
             tl.chains
                 .graph
                 .iter()
@@ -87,18 +87,18 @@ pub fn profile_value(tl: &Timeline, meta: &ProfileMeta) -> Value {
                     e.insert("from".to_string(), Value::U64(*from as u64));
                     e.insert("to".to_string(), Value::U64(*to as u64));
                     e.insert("count".to_string(), Value::U64(*n));
-                    Value::Map(e)
+                    Value::Obj(e)
                 })
                 .collect(),
         ),
     );
-    root.insert("chains".to_string(), Value::Map(chains));
+    root.insert("chains".to_string(), Value::Obj(chains));
 
     // The contention heat map (forwardings per line); consumers join it
     // against the workload's region table for per-contract attribution.
     root.insert(
         "hot_lines".to_string(),
-        Value::Map(
+        Value::Obj(
             tl.hot_lines
                 .iter()
                 .map(|(l, n)| (l.to_string(), Value::U64(*n)))
@@ -117,9 +117,9 @@ pub fn profile_value(tl: &Timeline, meta: &ProfileMeta) -> Value {
         "queueing_cycles".to_string(),
         Value::U64(tl.noc.queueing_cycles),
     );
-    root.insert("noc".to_string(), Value::Map(noc));
+    root.insert("noc".to_string(), Value::Obj(noc));
 
-    Value::Map(root)
+    Value::Obj(root)
 }
 
 #[cfg(test)]
@@ -148,16 +148,16 @@ mod tests {
             seed: 7,
         };
         let v = profile_value(&tl, &meta);
-        let m = v.as_map().unwrap();
+        let m = v.as_obj().unwrap();
         assert_eq!(m["workload"].as_str(), Some("cadd"));
         assert_eq!(m["total_cycles"].as_u64(), Some(10));
-        let agg = m["aggregate"].as_map().unwrap();
+        let agg = m["aggregate"].as_obj().unwrap();
         let sum: u64 = ["useful", "wasted", "validation_stall", "fallback", "other"]
             .iter()
             .map(|k| agg[*k].as_u64().unwrap())
             .sum();
         assert_eq!(sum, 10);
         // The artifact must be valid JSON end to end.
-        assert_eq!(Value::from_json(&v.to_json()), Ok(v));
+        assert_eq!(Value::parse(&v.to_compact()), Ok(v));
     }
 }

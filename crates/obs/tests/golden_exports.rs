@@ -141,7 +141,7 @@ fn scenario_builds_the_expected_chain() {
 #[test]
 fn chrome_trace_matches_golden() {
     let (tl, _) = chain3_timeline();
-    let json = chrome_trace(&tl).to_json();
+    let json = chrome_trace(&tl).to_compact();
     check_golden("chain3.chrome.json", &json);
 }
 
@@ -157,15 +157,15 @@ fn chrome_trace_satisfies_perfetto_semantics() {
     let v = chrome_trace(&tl);
 
     // 1. Valid JSON end to end.
-    let text = v.to_json();
-    let reparsed = Value::from_json(&text).expect("export is valid JSON");
+    let text = v.to_compact();
+    let reparsed = Value::parse(&text).expect("export is valid JSON");
     assert_eq!(reparsed, v);
 
-    let events: Vec<_> = v.as_map().unwrap()["traceEvents"]
-        .as_seq()
+    let events: Vec<_> = v.as_obj().unwrap()["traceEvents"]
+        .as_arr()
         .unwrap()
         .iter()
-        .map(|e| e.as_map().unwrap())
+        .map(|e| e.as_obj().unwrap())
         .collect();
 
     // 2. Per track, attempt slices are monotone and non-overlapping.

@@ -340,7 +340,7 @@ fn build_profile(set: &JobSet, needle: &str) -> Result<String, String> {
         threads: job.config.threads,
         seed: job.config.seed,
     };
-    Ok(profile_value(&tl, &meta).to_json())
+    Ok(profile_value(&tl, &meta).to_compact())
 }
 
 fn cmd_clean(args: &Args) -> ExitCode {

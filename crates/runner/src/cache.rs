@@ -10,7 +10,7 @@
 //! miss, not an error.
 
 use crate::job::JobSpec;
-use crate::json::Json;
+use crate::Json;
 use chats_stats::{RunStats, TxOutcomeCounts};
 use std::collections::BTreeMap;
 use std::env;

@@ -19,6 +19,9 @@
 //!   corruption degrades to re-execution.
 //! * [`manifest`] — per-run JSON manifests under `target/chats-runs/`
 //!   with timing, outcomes, cache hit rate and measured speedup.
+//! * [`Json`] — the JSON tree entries and manifests are written in: the
+//!   workspace's one JSON type, `serde::Value`, re-exported under the
+//!   runner's name (sorted keys, exact `u64`/`i64` lanes, strict parser).
 //!
 //! The `chats-run` binary exposes all of this on the command line; the
 //! `chats-bench` harness routes its measurements through [`pool::Runner`]
@@ -29,7 +32,6 @@ pub mod checkpoint;
 pub mod experiments;
 pub mod hash;
 pub mod job;
-pub mod json;
 pub mod manifest;
 pub mod pool;
 
@@ -37,8 +39,8 @@ pub use cache::{default_cache_dir, DiskCache, CACHE_VERSION};
 pub use checkpoint::{checkpoint_dir, execute_checkpointed, CheckpointConfig, CommitMeta};
 pub use experiments::{contended, Scale, MAIN_SYSTEMS};
 pub use job::{JobId, JobSet, JobSpec};
-pub use json::Json;
 pub use manifest::{
     default_runs_dir, summary_table, write_manifest, write_manifest_with_profile, ManifestInfo,
 };
 pub use pool::{JobOutcome, JobRecord, RunReport, Runner, RunnerConfig};
+pub use serde::Value as Json;

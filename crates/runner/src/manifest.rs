@@ -4,13 +4,13 @@
 //! to audit a sweep after the fact: which sets were requested, per-job
 //! outcome/attempts/timing/worker, cache hit rate, and the measured
 //! parallel speedup (aggregate job time over wall time). They are
-//! hand-serialized through [`crate::json`] — the format has no
-//! dependency on a serialization framework.
+//! built field by field as a [`crate::Json`] tree, so the format does
+//! not follow from any type's derived serialization.
 
 use crate::cache::{default_target_dir, CACHE_VERSION};
 use crate::hash::fnv1a_64;
-use crate::json::Json;
 use crate::pool::RunReport;
+use crate::Json;
 use chats_stats::Table;
 use std::collections::BTreeMap;
 use std::env;

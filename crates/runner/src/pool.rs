@@ -464,14 +464,14 @@ impl Runner {
 fn first_divergence(a: &RunStats, b: &RunStats) -> String {
     use crate::cache::stats_to_json;
     let (ja, jb) = (stats_to_json(a), stats_to_json(b));
-    if let (crate::json::Json::Obj(ma), crate::json::Json::Obj(mb)) = (&ja, &jb) {
+    if let (crate::Json::Obj(ma), crate::Json::Obj(mb)) = (&ja, &jb) {
         for (key, va) in ma {
             if mb.get(key) != Some(va) {
                 return format!(
                     "two runs disagree on '{key}': {} vs {}",
                     va.to_compact(),
                     mb.get(key)
-                        .map_or_else(|| "<missing>".into(), crate::json::Json::to_compact),
+                        .map_or_else(|| "<missing>".into(), crate::Json::to_compact),
                 );
             }
         }
