@@ -26,9 +26,9 @@ use std::time::{Duration, Instant};
 /// What a case runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CaseKind {
-    /// The synthetic contended-counter kernel `sim_throughput` has always
-    /// used: every thread increments random words of a small hot region,
-    /// maximizing queue and directory pressure per instruction.
+    /// The synthetic contended-counter kernel: every thread increments
+    /// random words of a small hot region, maximizing queue and directory
+    /// pressure per instruction.
     Contended,
     /// A registry workload by name, at paper scale.
     Registry(&'static str),
@@ -195,17 +195,14 @@ fn contended_program(iters: u64) -> Program {
 /// tens of milliseconds of simulation on the 16-core paper config.
 const CONTENDED_ITERS: u64 = 1000;
 
-/// The contended kernel at the baseline iteration count, shared with the
-/// commitment-overhead bench so both of its arms run the identical
-/// program the off-arm (`measure_case`) runs.
-pub(crate) fn contended_program_for_bench() -> Program {
-    contended_program(CONTENDED_ITERS)
-}
-
 /// Runs the case's `inner` back-to-back simulations inside one timed
 /// region and returns the summed stats plus the wall time of the whole
 /// region. Per-run counters are deterministic, so the sum is too.
-fn execute_once(case: &Case) -> (RunStats, Duration) {
+///
+/// `commit_interval` arms epoch commitments on each contended machine
+/// before it runs; the third value is then the last run's commitment-chain
+/// length (0 when unarmed). Registry cells are never armed.
+fn execute_once(case: &Case, commit_interval: Option<u64>) -> (RunStats, Duration, u64) {
     let mut total = RunStats::default();
     let add = |total: &mut RunStats, s: &RunStats| {
         total.events += s.events;
@@ -217,6 +214,7 @@ fn execute_once(case: &Case) -> (RunStats, Duration) {
         CaseKind::Contended => {
             let sys = SystemConfig::default(); // paper Table I, 16 cores
             let prog = contended_program(CONTENDED_ITERS);
+            let mut chain_len = 0u64;
             let t0 = Instant::now();
             for _ in 0..case.inner.max(1) {
                 let mut m = Machine::new(
@@ -228,10 +226,14 @@ fn execute_once(case: &Case) -> (RunStats, Duration) {
                 for t in 0..sys.core.cores {
                     m.load_thread(t, Vm::new(prog.clone(), t as u64));
                 }
+                if let Some(interval) = commit_interval {
+                    m.set_commit_interval(interval);
+                }
                 let stats = m.run(2_000_000_000).expect("contended kernel completes");
+                chain_len = m.commitment_chain().len() as u64;
                 add(&mut total, &stats);
             }
-            (total, t0.elapsed())
+            (total, t0.elapsed(), chain_len)
         }
         CaseKind::Registry(name) => {
             let w = registry::by_name(name).expect("baseline mix names a registered workload");
@@ -242,7 +244,7 @@ fn execute_once(case: &Case) -> (RunStats, Duration) {
                     .expect("paper-config run completes");
                 add(&mut total, &out.stats);
             }
-            (total, t0.elapsed())
+            (total, t0.elapsed(), 0)
         }
     }
 }
@@ -251,24 +253,35 @@ fn execute_once(case: &Case) -> (RunStats, Duration) {
 /// least noisy estimator for a deterministic workload).
 #[must_use]
 pub fn measure_case(case: &Case, reps: u32) -> Measurement {
-    let mut best: Option<(RunStats, Duration)> = None;
+    measure_case_armed(case, reps, None).0
+}
+
+/// [`measure_case`] with epoch commitments armed at `commit_interval` on
+/// the contended kernel (see [`execute_once`]); also returns the
+/// commitment-chain length of the last run.
+pub(crate) fn measure_case_armed(
+    case: &Case,
+    reps: u32,
+    commit_interval: Option<u64>,
+) -> (Measurement, u64) {
+    let mut best: Option<(RunStats, Duration, u64)> = None;
     for _ in 0..reps.max(1) {
-        let (stats, wall) = execute_once(case);
-        if let Some((prev, best_wall)) = &best {
+        let (stats, wall, chain_len) = execute_once(case, commit_interval);
+        if let Some((prev, best_wall, _)) = &best {
             debug_assert_eq!(prev.events, stats.events, "baseline runs are deterministic");
             if wall < *best_wall {
-                best = Some((stats, wall));
+                best = Some((stats, wall, chain_len));
             }
         } else {
-            best = Some((stats, wall));
+            best = Some((stats, wall, chain_len));
         }
     }
-    let (stats, wall) = best.expect("at least one rep");
+    let (stats, wall, chain_len) = best.expect("at least one rep");
     let cores = match case.kind {
         CaseKind::Contended => SystemConfig::default().core.cores,
         CaseKind::Registry(_) => RunConfig::paper().threads,
     };
-    Measurement {
+    let m = Measurement {
         name: case.name(),
         cores,
         events: stats.events,
@@ -277,7 +290,8 @@ pub fn measure_case(case: &Case, reps: u32) -> Measurement {
         commits: stats.commits,
         wall,
         peak_rss_kb: peak_rss_kb(),
-    }
+    };
+    (m, chain_len)
 }
 
 /// Measures the whole mix.

@@ -13,14 +13,10 @@
 //! armed permanently, which is what makes checkpoint verification and
 //! divergence dissection free to deploy.
 
-use crate::baseline::{measure_case, workload_mix, Case, CaseKind, Measurement};
-use chats_core::PolicyConfig;
-use chats_machine::{Machine, Tuning, DEFAULT_COMMIT_INTERVAL};
+use crate::baseline::{measure_case_armed, workload_mix, Case, CaseKind, Measurement};
+use chats_machine::DEFAULT_COMMIT_INTERVAL;
 use chats_runner::Json;
-use chats_sim::SystemConfig;
-use chats_tvm::Vm;
 use std::collections::BTreeMap;
-use std::time::Instant;
 
 /// One cell measured both ways: commitments off vs armed at `interval`.
 #[derive(Debug, Clone)]
@@ -56,7 +52,8 @@ impl OverheadMeasurement {
 ///
 /// Arms are interleaved (off, on, off, on, ...) over `reps` rounds and
 /// each arm keeps its best wall time, so slow-host drift hits both arms
-/// alike.
+/// alike. Both arms run the same timed loop (`baseline::execute_once`),
+/// differing only in the commit interval it arms.
 #[must_use]
 pub fn measure_overhead(interval: u64, quick: bool) -> OverheadMeasurement {
     // Arms are tens of milliseconds, so host noise is the same order as
@@ -68,8 +65,8 @@ pub fn measure_overhead(interval: u64, quick: bool) -> OverheadMeasurement {
     let mut on: Option<Measurement> = None;
     let mut epochs = 0u64;
     for _ in 0..reps {
-        let a = measure_case(&case, 1);
-        let (b, chain_len) = measure_armed(&case, interval);
+        let (a, _) = measure_case_armed(&case, 1, None);
+        let (b, chain_len) = measure_case_armed(&case, 1, Some(interval));
         epochs = chain_len;
         keep_best(&mut off, a);
         keep_best(&mut on, b);
@@ -102,52 +99,6 @@ fn contended_case(quick: bool) -> Case {
         .into_iter()
         .find(|c| matches!(c.kind, CaseKind::Contended))
         .expect("baseline mix always has the contended cell")
-}
-
-/// One timed armed run of the contended cell; mirrors the off-arm path
-/// in `baseline::execute_once` with `set_commit_interval` added.
-fn measure_armed(case: &Case, interval: u64) -> (Measurement, u64) {
-    let CaseKind::Contended = case.kind else {
-        unreachable!("overhead bench runs the contended cell only");
-    };
-    let sys = SystemConfig::default();
-    let prog = crate::baseline::contended_program_for_bench();
-    let mut events = 0u64;
-    let mut cycles = 0u64;
-    let mut instructions = 0u64;
-    let mut commits = 0u64;
-    let mut chain_len = 0u64;
-    let t0 = Instant::now();
-    for _ in 0..case.inner.max(1) {
-        let mut m = Machine::new(
-            sys,
-            PolicyConfig::for_system(case.system),
-            Tuning::default(),
-            3,
-        );
-        for t in 0..sys.core.cores {
-            m.load_thread(t, Vm::new(prog.clone(), t as u64));
-        }
-        m.set_commit_interval(interval);
-        let stats = m.run(2_000_000_000).expect("contended kernel completes");
-        chain_len = m.commitment_chain().len() as u64;
-        events += stats.events;
-        cycles += stats.cycles;
-        instructions += stats.instructions;
-        commits += stats.commits;
-    }
-    let wall = t0.elapsed();
-    let m = Measurement {
-        name: case.name(),
-        cores: sys.core.cores,
-        events,
-        cycles,
-        instructions,
-        commits,
-        wall,
-        peak_rss_kb: crate::baseline::peak_rss_kb(),
-    };
-    (m, chain_len)
 }
 
 /// Serializes the measurement (and the gate it was held to) as the

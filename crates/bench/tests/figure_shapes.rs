@@ -70,6 +70,14 @@ fn forwarding_systems_forward_and_others_do_not() {
             assert_eq!(fwd, 0, "{sys:?} must never forward");
         }
     }
+    // Fig. 6 shape: under CHATS, forwarding transactions go on to commit.
+    let forwarders = h
+        .measure_named("kmeans-h", HtmSystem::Chats)
+        .forwarder_outcomes;
+    assert!(
+        forwarders.committed > 0,
+        "Fig. 6 shape: no CHATS forwarder committed on kmeans-h"
+    );
 }
 
 #[test]

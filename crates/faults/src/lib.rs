@@ -239,12 +239,22 @@ pub struct FaultPlan {
     pub protocol: ProtocolFaults,
 }
 
-fn get_u64(m: &BTreeMap<String, Value>, key: &str) -> u64 {
-    m.get(key).and_then(Value::as_u64).unwrap_or(0)
+/// Reads an integer knob: a missing key is 0, but a present key of any
+/// other JSON type (string, negative, fractional, boolean, ...) is an
+/// error naming it, so a typo never quietly switches a fault off.
+fn get_u64(m: &BTreeMap<String, Value>, key: &str) -> Result<u64, String> {
+    m.get(key).map_or(Ok(0), |v| {
+        v.as_u64().ok_or_else(|| {
+            format!(
+                "fault plan: '{key}' = {} is not a non-negative integer",
+                v.to_compact()
+            )
+        })
+    })
 }
 
 fn get_permille(m: &BTreeMap<String, Value>, key: &str) -> Result<u32, String> {
-    let v = get_u64(m, key);
+    let v = get_u64(m, key)?;
     if v > 1000 {
         return Err(format!("fault plan: '{key}' = {v} exceeds 1000 permille"));
     }
@@ -389,13 +399,14 @@ impl FaultPlan {
     /// # Errors
     ///
     /// Returns a message for non-object input, an unsupported `version`,
-    /// or a permille knob above 1000.
+    /// a present key of the wrong JSON type, or a permille knob above
+    /// 1000.
     pub fn from_value(v: &Value) -> Result<FaultPlan, String> {
         let top = v.as_obj().ok_or("fault plan: not a JSON object")?;
-        let version = top
-            .get("version")
-            .and_then(Value::as_u64)
-            .unwrap_or(FAULT_FORMAT_VERSION);
+        let version = match top.get("version") {
+            None => FAULT_FORMAT_VERSION,
+            Some(_) => get_u64(top, "version")?,
+        };
         if version != FAULT_FORMAT_VERSION {
             return Err(format!("fault plan: unsupported version {version}"));
         }
@@ -403,36 +414,40 @@ impl FaultPlan {
         let h = section(v, "htm")?;
         let p = section(v, "protocol")?;
         Ok(FaultPlan {
-            name: top
-                .get("name")
-                .and_then(Value::as_str)
-                .unwrap_or("unnamed")
-                .to_string(),
-            seed_salt: get_u64(top, "seed_salt"),
-            watchdog_horizon: get_u64(top, "watchdog_horizon"),
+            name: match top.get("name") {
+                None => "unnamed".to_string(),
+                Some(v) => v
+                    .as_str()
+                    .ok_or_else(|| {
+                        format!("fault plan: 'name' = {} is not a string", v.to_compact())
+                    })?
+                    .to_string(),
+            },
+            seed_salt: get_u64(top, "seed_salt")?,
+            watchdog_horizon: get_u64(top, "watchdog_horizon")?,
             noc: NocFaults {
                 delay_permille: get_permille(&n, "delay_permille")?,
-                delay_max: get_u64(&n, "delay_max"),
+                delay_max: get_u64(&n, "delay_max")?,
                 reorder_permille: get_permille(&n, "reorder_permille")?,
-                reorder_window: get_u64(&n, "reorder_window"),
+                reorder_window: get_u64(&n, "reorder_window")?,
                 duplicate_permille: get_permille(&n, "duplicate_permille")?,
                 drop_permille: get_permille(&n, "drop_permille")?,
-                drop_timeout: get_u64(&n, "drop_timeout"),
+                drop_timeout: get_u64(&n, "drop_timeout")?,
             },
             htm: HtmFaults {
                 spurious_abort_permille: get_permille(&h, "spurious_abort_permille")?,
-                storm_period: get_u64(&h, "storm_period"),
-                storm_len: get_u64(&h, "storm_len"),
+                storm_period: get_u64(&h, "storm_period")?,
+                storm_len: get_u64(&h, "storm_len")?,
                 freeze_permille: get_permille(&h, "freeze_permille")?,
-                freeze_cycles: get_u64(&h, "freeze_cycles"),
+                freeze_cycles: get_u64(&h, "freeze_cycles")?,
                 slowdown_permille: get_permille(&h, "slowdown_permille")?,
-                slowdown_cycles: get_u64(&h, "slowdown_cycles"),
+                slowdown_cycles: get_u64(&h, "slowdown_cycles")?,
                 vsb_evict_permille: get_permille(&h, "vsb_evict_permille")?,
             },
             protocol: ProtocolFaults {
                 validation_delay_permille: get_permille(&p, "validation_delay_permille")?,
-                validation_delay_max: get_u64(&p, "validation_delay_max"),
-                drop_validation_data: get_u64(&p, "drop_validation_data"),
+                validation_delay_max: get_u64(&p, "validation_delay_max")?,
+                drop_validation_data: get_u64(&p, "drop_validation_data")?,
             },
         })
     }
@@ -830,10 +845,22 @@ mod tests {
     }
 
     #[test]
-    fn permille_over_1000_is_rejected() {
-        let v = Value::parse(r#"{"noc":{"drop_permille":1001}}"#).unwrap();
-        let err = FaultPlan::from_value(&v).unwrap_err();
-        assert!(err.contains("drop_permille"), "{err}");
+    fn out_of_range_or_mistyped_knobs_are_rejected() {
+        for (json, key) in [
+            (r#"{"noc":{"drop_permille":1001}}"#, "drop_permille"),
+            (r#"{"noc":{"drop_permille":"50"}}"#, "drop_permille"),
+            (r#"{"noc":{"drop_permille":-3}}"#, "drop_permille"),
+            (r#"{"noc":{"drop_permille":1.5}}"#, "drop_permille"),
+            (r#"{"noc":{"drop_permille":true}}"#, "drop_permille"),
+            (r#"{"htm":{"freeze_cycles":"100"}}"#, "freeze_cycles"),
+            (r#"{"seed_salt":"x"}"#, "seed_salt"),
+            (r#"{"version":"2"}"#, "version"),
+            (r#"{"name":7}"#, "name"),
+        ] {
+            let v = Value::parse(json).unwrap();
+            let err = FaultPlan::from_value(&v).unwrap_err();
+            assert!(err.contains(key), "{json}: {err}");
+        }
     }
 
     #[test]

@@ -668,6 +668,17 @@ impl Machine {
             return Ok(None);
         };
         let desc = format!("{ev:?}");
+        self.step(t, ev)?;
+        Ok(Some((t.0, desc)))
+    }
+
+    /// One run-loop step, shared by [`Machine::advance`] and
+    /// [`Machine::step_one`] so dissection cannot drift from the run it
+    /// diagnoses: advance the clock to `t`, count the event, check the
+    /// watchdog, dispatch. Forced inline: this is the hot loop's body, and
+    /// a plain `#[inline]` leaves it an out-of-line call from `advance`.
+    #[inline(always)]
+    fn step(&mut self, t: Cycle, ev: Event) -> Result<(), SimError> {
         self.clock = t;
         self.stats.events += 1;
         if self.watchdog.is_some() {
@@ -676,7 +687,7 @@ impl Machine {
             }
         }
         self.dispatch(ev);
-        Ok(Some((t.0, desc)))
+        Ok(())
     }
 
     /// Pushes the initial `CoreStep` events, once per machine lifetime.
@@ -716,14 +727,7 @@ impl Machine {
                 return Ok(false);
             }
             let (t, ev) = self.next_event().expect("peeked event vanished");
-            self.clock = t;
-            self.stats.events += 1;
-            if self.watchdog.is_some() {
-                if let Some(err) = self.watchdog_check() {
-                    return Err(err);
-                }
-            }
-            self.dispatch(ev);
+            self.step(t, ev)?;
             if self.halted == self.cores.len() {
                 return Ok(true);
             }
