@@ -56,18 +56,7 @@ impl Case {
             CaseKind::Contended => "contended",
             CaseKind::Registry(n) => n,
         };
-        format!("{w}/{}", system_label(self.system))
-    }
-}
-
-fn system_label(s: HtmSystem) -> &'static str {
-    match s {
-        HtmSystem::Baseline => "baseline",
-        HtmSystem::Chats => "chats",
-        HtmSystem::Pchats => "pchats",
-        HtmSystem::Power => "power",
-        HtmSystem::NaiveRs => "naive-rs",
-        HtmSystem::LevcBeIdealized => "levc-be",
+        format!("{w}/{}", self.system.name())
     }
 }
 

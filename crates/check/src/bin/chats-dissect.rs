@@ -111,18 +111,6 @@ fn parse_num<T: std::str::FromStr>(text: &str, flag: &str) -> Result<T, String> 
         .map_err(|_| format!("{flag}: invalid number '{text}'"))
 }
 
-fn parse_system(name: &str) -> Result<HtmSystem, String> {
-    Ok(match name {
-        "baseline" => HtmSystem::Baseline,
-        "naive-rs" => HtmSystem::NaiveRs,
-        "chats" => HtmSystem::Chats,
-        "power" => HtmSystem::Power,
-        "pchats" => HtmSystem::Pchats,
-        "levc" => HtmSystem::LevcBeIdealized,
-        other => return Err(format!("unknown system '{other}'")),
-    })
-}
-
 /// Resolves a fault-plan spec: a shipped plan name first, else a path.
 fn resolve_plan(spec: &str) -> Result<FaultPlan, String> {
     if let Some(plan) = FaultPlan::shipped().into_iter().find(|p| p.name == spec) {
@@ -136,7 +124,7 @@ fn build_request(args: &Args) -> Result<DissectRequest, String> {
         .workload
         .clone()
         .ok_or("--workload is required".to_string())?;
-    let policy = PolicyConfig::for_system(parse_system(&args.system)?);
+    let policy = PolicyConfig::for_system(args.system.parse::<HtmSystem>()?);
     let mut base = if args.smoke {
         RunConfig::quick_test()
     } else {

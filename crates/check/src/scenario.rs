@@ -194,16 +194,15 @@ impl ProgramSpec {
     }
 }
 
-/// Stable machine-readable key for an [`HtmSystem`] (reproducer JSON).
+/// Stable machine-readable key for an [`HtmSystem`] (reproducer JSON):
+/// its [`HtmSystem::name`], except for two spellings the reproducer
+/// format fixed before that name table existed.
 #[must_use]
 pub fn system_key(system: HtmSystem) -> &'static str {
-    match system {
-        HtmSystem::Baseline => "baseline",
-        HtmSystem::NaiveRs => "naive_rs",
-        HtmSystem::Chats => "chats",
-        HtmSystem::Power => "power",
-        HtmSystem::Pchats => "pchats",
-        HtmSystem::LevcBeIdealized => "levc_be_id",
+    match system.name() {
+        "naive-rs" => "naive_rs",
+        "levc" => "levc_be_id",
+        name => name,
     }
 }
 

@@ -91,6 +91,22 @@ impl HtmSystem {
         }
     }
 
+    /// Command-line name: the system half of a job label
+    /// (`kmeans-h/chats`), the `--system` value of every binary, and the
+    /// `chats-bench` case name. `str::parse::<HtmSystem>` is the exact
+    /// inverse.
+    #[must_use]
+    pub fn name(self) -> &'static str {
+        match self {
+            HtmSystem::Baseline => "baseline",
+            HtmSystem::NaiveRs => "naive-rs",
+            HtmSystem::Chats => "chats",
+            HtmSystem::Power => "power",
+            HtmSystem::Pchats => "pchats",
+            HtmSystem::LevcBeIdealized => "levc",
+        }
+    }
+
     /// `true` for systems that can forward speculative values.
     #[must_use]
     pub fn forwards(self) -> bool {
@@ -107,6 +123,21 @@ impl HtmSystem {
 impl fmt::Display for HtmSystem {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.label())
+    }
+}
+
+impl std::str::FromStr for HtmSystem {
+    type Err = String;
+
+    /// Parses a [`HtmSystem::name`], exactly (no aliases, case-sensitive).
+    fn from_str(name: &str) -> Result<HtmSystem, String> {
+        HtmSystem::ALL
+            .into_iter()
+            .find(|s| s.name() == name)
+            .ok_or_else(|| {
+                let names: Vec<&str> = HtmSystem::ALL.iter().map(|s| s.name()).collect();
+                format!("unknown system '{name}' (one of {})", names.join(", "))
+            })
     }
 }
 
@@ -267,6 +298,22 @@ mod tests {
         let levc = PolicyConfig::for_system(HtmSystem::LevcBeIdealized);
         assert_eq!(levc.vsb_size, 4);
         assert_eq!(levc.validation_interval, 0);
+    }
+
+    #[test]
+    fn system_names_round_trip() {
+        let names: Vec<&str> = HtmSystem::ALL.iter().map(|s| s.name()).collect();
+        assert_eq!(
+            names,
+            ["baseline", "naive-rs", "chats", "power", "pchats", "levc"]
+        );
+        for s in HtmSystem::ALL {
+            assert_eq!(s.name().parse::<HtmSystem>(), Ok(s));
+        }
+        for junk in ["", "CHATS", "naive", "naivers", "levc-be", "all"] {
+            let err = junk.parse::<HtmSystem>().unwrap_err();
+            assert!(err.contains("naive-rs, chats"), "{err}");
+        }
     }
 
     #[test]

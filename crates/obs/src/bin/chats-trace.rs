@@ -47,18 +47,6 @@ options (report/export):
                        dropped events — the trace is incomplete
   --out PATH           export target (required for export)";
 
-fn parse_system(s: &str) -> Result<HtmSystem, String> {
-    Ok(match s.to_ascii_lowercase().as_str() {
-        "baseline" => HtmSystem::Baseline,
-        "naive-rs" | "naivers" => HtmSystem::NaiveRs,
-        "chats" => HtmSystem::Chats,
-        "power" => HtmSystem::Power,
-        "pchats" => HtmSystem::Pchats,
-        "levc" | "levc-be" => HtmSystem::LevcBeIdealized,
-        other => return Err(format!("unknown system '{other}'")),
-    })
-}
-
 struct Args {
     command: String,
     workload: Option<String>,
@@ -93,7 +81,7 @@ fn parse_args() -> Result<Args, String> {
         let mut value = |what: &str| argv.next().ok_or_else(|| format!("{what} needs a value"));
         match arg.as_str() {
             "--workload" => args.workload = Some(value("--workload")?),
-            "--system" => args.system = parse_system(&value("--system")?)?,
+            "--system" => args.system = value("--system")?.parse()?,
             "--threads" => args.threads = Some(parse_num(&value("--threads")?, "--threads")?),
             "--seed" => args.seed = Some(parse_num(&value("--seed")?, "--seed")?),
             "--paper" => args.paper = true,
@@ -129,6 +117,10 @@ fn main() -> ExitCode {
         "record" => cmd_record(&args),
         "report" => cmd_report(&args),
         "export" => cmd_export(&args),
+        "--help" | "-h" => {
+            println!("{USAGE}");
+            Ok(())
+        }
         other => Err(format!("unknown command '{other}'\n\n{USAGE}")),
     };
     match result {

@@ -1,22 +1,25 @@
 //! `chats-run`: the experiment-runner command line.
 //!
 //! ```text
-//! chats-run list [SET...] [--smoke] [--filter S] [--family F]
-//! chats-run run  [SET...] [--jobs N] [--filter S] [--family F] [--no-cache]
+//! chats-run list [SET|LABEL...] [--smoke] [--filter S] [--family F]
+//! chats-run run  [SET|LABEL...] [--jobs N] [--filter S] [--family F] [--no-cache]
 //!                [--smoke] [--timeout N] [--retries N] [--verify-determinism]
 //!                [--faults PLAN.json] [--cache-dir D] [--runs-dir D] [--quiet]
 //! chats-run clean [--cache-dir D] [--runs-dir D] [--runs]
 //! ```
 //!
-//! `run` executes the named experiment sets (default: `fig4 fig5`) on
-//! the worker pool, writes a JSON manifest under `target/chats-runs/`
-//! and prints a summary. `--smoke` switches to the 4-core quick-test
-//! machine with the atomicity oracle armed.
+//! `run` executes the named experiment sets and job labels (default:
+//! `fig4 fig5`) on the worker pool, writes a JSON manifest under
+//! `target/chats-runs/` and prints one row per job plus a summary. A
+//! label such as `kmeans-h/chats:r8` names one job (see
+//! `JobSpec::from_label`), so shell brace expansion builds ad-hoc grids:
+//! `chats-run run kmeans-h/chats:r{1,2,4,8}`. `--smoke` switches to the
+//! 4-core quick-test machine with the atomicity oracle armed.
 
 use chats_obs::{profile_value, ProfileMeta, Timeline, VecSink};
 use chats_runner::{
-    default_cache_dir, default_runs_dir, experiments, summary_table, write_manifest_with_profile,
-    DiskCache, JobSet, Runner, RunnerConfig, Scale,
+    default_cache_dir, default_runs_dir, experiments, jobs_table, summary_table,
+    write_manifest_with_profile, DiskCache, JobSet, Runner, RunnerConfig, Scale,
 };
 use chats_workloads::{registry, run_workload_traced};
 use std::path::PathBuf;
@@ -27,8 +30,8 @@ const USAGE: &str = "\
 usage: chats-run <command> [args]
 
 commands:
-  list  [SET...]            show the jobs of the named sets (default: all)
-  run   [SET...]            execute the named sets (default: fig4 fig5)
+  list  [SET|LABEL...]      show the jobs of the named sets (default: all)
+  run   [SET|LABEL...]      execute the named sets (default: fig4 fig5)
   clean                     delete the result cache (and, with --runs, manifests)
 
 options (run):
@@ -60,7 +63,12 @@ options (run):
   --quiet                   no per-job progress lines
 
 sets: fig1 fig4 fig5 fig6 fig7 fig8 fig9 fig10 fig11
-      scaling picwidth chains ablations headline evm all";
+      scaling picwidth chains ablations headline evm all
+
+labels: one job each, as `list` prints them: WORKLOAD/SYSTEM with
+        optional :rN :vsbN :ivN :fs-SET :picN :no-overtake :single-link
+        :tN :faults-NAME suffixes, e.g. kmeans-h/chats:r8:vsb16
+        (systems: baseline naive-rs chats power pchats levc)";
 
 struct Args {
     command: String,
@@ -267,6 +275,7 @@ fn cmd_run(args: &Args, scale: Scale) -> ExitCode {
     }
     let runner = Runner::new(cfg);
     let report = runner.run_set(&set);
+    println!("{}", jobs_table(&report, &set));
     println!("{}", summary_table(&report));
     let profile_json = match &args.profile {
         Some(needle) => match build_profile(&set, needle) {

@@ -242,15 +242,21 @@ pub fn set(id: &str, scale: Scale) -> Option<JobSet> {
     Some(jobs)
 }
 
-/// The union of several named sets.
+/// The union of several named sets and job labels, in the given order.
+/// An id containing `/` is a [`JobSpec::label`] and resolves to that one
+/// job (see [`JobSpec::from_label`]).
 ///
 /// # Errors
 ///
-/// Returns the first unknown id.
+/// Returns the first unknown set id or unparsable label.
 pub fn union<'a>(ids: impl IntoIterator<Item = &'a str>, scale: Scale) -> Result<JobSet, String> {
     let mut jobs = JobSet::new();
     for id in ids {
-        jobs.merge(set(id, scale).ok_or_else(|| format!("unknown experiment set '{id}'"))?);
+        if id.contains('/') {
+            jobs.push(JobSpec::from_label(id, scale)?);
+        } else {
+            jobs.merge(set(id, scale).ok_or_else(|| format!("unknown experiment set '{id}'"))?);
+        }
     }
     Ok(jobs)
 }
@@ -317,5 +323,24 @@ mod tests {
     fn union_reports_unknown_ids() {
         let err = union(["fig4", "bogus"], Scale::Quick).unwrap_err();
         assert!(err.contains("bogus"), "{err}");
+        let err = union(["cadd/chats:bogus"], Scale::Quick).unwrap_err();
+        assert!(err.contains("cadd/chats:bogus"), "{err}");
+    }
+
+    #[test]
+    fn labels_resolve_to_single_jobs_in_order() {
+        let fig9 = set("fig9", Scale::Paper).unwrap();
+        let point = fig9
+            .iter()
+            .find(|j| j.label() == "kmeans-h/chats:r4")
+            .unwrap();
+        let jobs = union(
+            ["kmeans-h/chats:r4", "cadd/power", "kmeans-h/chats:r4"],
+            Scale::Paper,
+        )
+        .unwrap();
+        let labels: Vec<String> = jobs.iter().map(JobSpec::label).collect();
+        assert_eq!(labels, ["kmeans-h/chats:r4", "cadd/power"]);
+        assert_eq!(jobs.iter().next().unwrap().id(), point.id());
     }
 }

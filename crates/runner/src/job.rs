@@ -6,8 +6,9 @@
 //! produce the same simulation share one [`JobId`], one cache entry and
 //! one execution, no matter which experiment asked for them.
 
+use crate::experiments::Scale;
 use crate::hash::fnv1a_64;
-use chats_core::{HtmSystem, PolicyConfig};
+use chats_core::{ForwardSet, HtmSystem, PolicyConfig};
 use chats_stats::RunStats;
 use chats_workloads::{registry, run_workload_partial, FaultPlan, RunConfig, RunFailure};
 use std::collections::HashSet;
@@ -92,15 +93,7 @@ impl JobSpec {
     /// Labels are what `--filter` matches against.
     #[must_use]
     pub fn label(&self) -> String {
-        let sys = match self.policy.system {
-            HtmSystem::Baseline => "baseline",
-            HtmSystem::NaiveRs => "naive-rs",
-            HtmSystem::Chats => "chats",
-            HtmSystem::Power => "power",
-            HtmSystem::Pchats => "pchats",
-            HtmSystem::LevcBeIdealized => "levc",
-        };
-        let mut label = format!("{}/{}", self.workload, sys);
+        let mut label = format!("{}/{}", self.workload, self.policy.system.name());
         let def = PolicyConfig::for_system(self.policy.system);
         if self.policy.retries != def.retries {
             label.push_str(&format!(":r{}", self.policy.retries));
@@ -130,6 +123,67 @@ impl JobSpec {
             label.push_str(&format!(":faults-{}", plan.name));
         }
         label
+    }
+
+    /// The inverse of [`JobSpec::label`] on the `scale` machine: parses
+    /// `workload/system` and the `:rN :vsbN :ivN :fs-SET :picN
+    /// :no-overtake :single-link :tN :faults-NAME` suffixes, in any
+    /// order, where `NAME` is one of [`FaultPlan::shipped`]. A suffix
+    /// that restates a default changes nothing, so `kmeans-h/chats:r32`
+    /// is the same job as `kmeans-h/chats`.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the label and its first bad part.
+    pub fn from_label(label: &str, scale: Scale) -> Result<JobSpec, String> {
+        let bad = |why: String| format!("bad job label '{label}': {why}");
+        let (workload, rest) = label
+            .split_once('/')
+            .ok_or_else(|| bad("expected WORKLOAD/SYSTEM".to_string()))?;
+        if registry::by_name(workload).is_none() {
+            return Err(bad(format!("unknown workload '{workload}'")));
+        }
+        let mut parts = rest.split(':');
+        let system: HtmSystem = parts.next().unwrap_or_default().parse().map_err(bad)?;
+        let mut policy = PolicyConfig::for_system(system);
+        let mut config = scale.run_config();
+        for part in parts {
+            if part == "no-overtake" {
+                policy.ablation.no_pic_overtake = true;
+            } else if part == "single-link" {
+                policy.ablation.single_link_chains = true;
+            } else if let Some(name) = part.strip_prefix("fs-") {
+                policy.forward_set = [
+                    ForwardSet::ReadWrite,
+                    ForwardSet::WriteOnly,
+                    ForwardSet::RestrictedReadWrite,
+                ]
+                .into_iter()
+                .find(|fs| fs.label() == name)
+                .ok_or_else(|| bad(format!("unknown forward set '{name}'")))?;
+            } else if let Some(name) = part.strip_prefix("faults-") {
+                let plan = FaultPlan::shipped().into_iter().find(|p| p.name == name);
+                config.faults =
+                    Some(plan.ok_or_else(|| bad(format!("unknown fault plan '{name}'")))?);
+            } else {
+                let digits = part
+                    .find(|c: char| c.is_ascii_digit())
+                    .unwrap_or(part.len());
+                let (key, n) = part.split_at(digits);
+                let n: u64 = n
+                    .parse()
+                    .map_err(|_| bad(format!("unknown suffix ':{part}'")))?;
+                match (key, u32::try_from(n), usize::try_from(n)) {
+                    ("r", Ok(r), _) => policy.retries = r,
+                    ("vsb", _, Ok(v)) if v > 0 => policy.vsb_size = v,
+                    ("iv", _, _) => policy.validation_interval = n,
+                    ("pic", Ok(b @ 2..=7), _) => policy.pic_bits = b,
+                    ("t", _, Ok(t)) if t > 0 => config.threads = t,
+                    _ => return Err(bad(format!("unknown or out-of-range suffix ':{part}'"))),
+                }
+            }
+        }
+        Ok(JobSpec::new(workload, policy, config))
     }
 
     /// Runs the simulation for this job.

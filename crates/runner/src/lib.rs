@@ -25,7 +25,7 @@
 //!
 //! The `chats-run` binary exposes all of this on the command line; the
 //! `chats-bench` harness routes its measurements through [`pool::Runner`]
-//! so figures and ad-hoc sweeps share the same cache.
+//! so figures and ad-hoc grids share the same cache.
 
 pub mod cache;
 pub mod checkpoint;
@@ -40,7 +40,8 @@ pub use checkpoint::{checkpoint_dir, execute_checkpointed, CheckpointConfig, Com
 pub use experiments::{contended, Scale, MAIN_SYSTEMS};
 pub use job::{JobId, JobSet, JobSpec};
 pub use manifest::{
-    default_runs_dir, summary_table, write_manifest, write_manifest_with_profile, ManifestInfo,
+    default_runs_dir, jobs_table, summary_table, write_manifest, write_manifest_with_profile,
+    ManifestInfo,
 };
 pub use pool::{JobOutcome, JobRecord, RunReport, Runner, RunnerConfig};
 pub use serde::Value as Json;

@@ -9,6 +9,7 @@
 
 use crate::cache::{default_target_dir, CACHE_VERSION};
 use crate::hash::fnv1a_64;
+use crate::job::JobSet;
 use crate::pool::RunReport;
 use crate::Json;
 use chats_stats::Table;
@@ -374,6 +375,41 @@ pub fn summary_table(report: &RunReport) -> Table {
         report.count("cached") as f64 / total as f64
     };
     kv("cache hit rate", format!("{:.0}%", hit_rate * 100.0));
+    t
+}
+
+/// One row per job of `set` (the set `report` ran), in set order: label,
+/// outcome, cycles, commits, aborts, forwardings and flits (`-` for a
+/// job that produced no statistics).
+#[must_use]
+pub fn jobs_table(report: &RunReport, set: &JobSet) -> Table {
+    let head = [
+        "job",
+        "outcome",
+        "cycles",
+        "commits",
+        "aborts",
+        "forwardings",
+        "flits",
+    ];
+    let mut t = Table::new(head.map(String::from).to_vec());
+    for (spec, record) in set.iter().zip(&report.records) {
+        let mut row = vec![record.label.clone(), record.outcome.label().to_string()];
+        match report.stats_for(spec) {
+            Some(s) => row.extend(
+                [
+                    s.cycles,
+                    s.commits,
+                    s.total_aborts(),
+                    s.forwardings,
+                    s.flits,
+                ]
+                .map(|v| v.to_string()),
+            ),
+            None => row.resize(head.len(), "-".to_string()),
+        }
+        t.row(row);
+    }
     t
 }
 

@@ -90,6 +90,32 @@ fn smoke_run_executes_then_caches_and_writes_manifests() {
     let _ = fs::remove_dir_all(&root);
 }
 
+/// Job labels address single jobs: two labels run two jobs, and the
+/// per-job table lists them in the order given.
+#[test]
+fn smoke_run_takes_job_labels_in_order() {
+    let root = temp_root("labels");
+    let out = chats_run(
+        &root,
+        &[
+            "run",
+            "cadd/chats:r2",
+            "cadd/chats:vsb2",
+            "--smoke",
+            "--quiet",
+        ],
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{stdout}");
+    let rows: Vec<&str> = stdout.lines().filter(|l| l.starts_with("cadd/")).collect();
+    assert_eq!(rows.len(), 2, "{stdout}");
+    assert!(rows[0].starts_with("cadd/chats:r2 "), "{stdout}");
+    assert!(rows[1].starts_with("cadd/chats:vsb2 "), "{stdout}");
+    assert!(rows.iter().all(|r| r.contains("executed")), "{stdout}");
+    assert_eq!(fs::read_dir(root.join("cache")).unwrap().count(), 2);
+    let _ = fs::remove_dir_all(&root);
+}
+
 #[test]
 fn smoke_list_names_jobs_without_running() {
     let root = temp_root("list");
@@ -127,6 +153,11 @@ fn unknown_set_and_empty_filter_fail_cleanly() {
     let bad_set = chats_run(&root, &["run", "fig2", "--smoke"]);
     assert_eq!(bad_set.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&bad_set.stderr).contains("unknown experiment set"));
+
+    let bad_label = chats_run(&root, &["run", "cadd/chats:rx", "--smoke"]);
+    assert_eq!(bad_label.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&bad_label.stderr);
+    assert!(stderr.contains("'cadd/chats:rx'"), "{stderr}");
 
     let no_match = chats_run(
         &root,

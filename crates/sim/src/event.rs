@@ -392,109 +392,6 @@ impl<E> Default for EventQueue<E> {
     }
 }
 
-/// The pre-timing-wheel event queue: a binary heap of `(time, seq)`
-/// entries. Kept as the executable specification of the delivery order —
-/// `tests/prop_queue_equiv.rs` drives it in lockstep with [`EventQueue`]
-/// on arbitrary operation sequences. Not used by the simulator.
-#[doc(hidden)]
-#[derive(Debug, Clone)]
-pub struct ReferenceEventQueue<E> {
-    heap: std::collections::BinaryHeap<std::cmp::Reverse<RefEntry<E>>>,
-    seq: u64,
-}
-
-#[derive(Debug, Clone)]
-struct RefEntry<E> {
-    at: Cycle,
-    seq: u64,
-    event: E,
-}
-
-impl<E> PartialEq for RefEntry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<E> Eq for RefEntry<E> {}
-impl<E> PartialOrd for RefEntry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for RefEntry<E> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
-}
-
-#[allow(missing_docs)]
-impl<E> ReferenceEventQueue<E> {
-    pub fn new() -> Self {
-        ReferenceEventQueue {
-            heap: std::collections::BinaryHeap::new(),
-            seq: 0,
-        }
-    }
-
-    pub fn push(&mut self, at: Cycle, event: E) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.heap
-            .push(std::cmp::Reverse(RefEntry { at, seq, event }));
-    }
-
-    pub fn pop(&mut self) -> Option<(Cycle, E)> {
-        self.heap.pop().map(|std::cmp::Reverse(e)| (e.at, e.event))
-    }
-
-    pub fn peek_time(&self) -> Option<Cycle> {
-        self.heap.peek().map(|std::cmp::Reverse(e)| e.at)
-    }
-
-    pub fn tie_width(&self) -> usize {
-        match self.heap.peek() {
-            None => 0,
-            Some(std::cmp::Reverse(first)) => {
-                let at = first.at;
-                self.heap
-                    .iter()
-                    .filter(|std::cmp::Reverse(e)| e.at == at)
-                    .count()
-            }
-        }
-    }
-
-    pub fn pop_tied(&mut self, k: usize) -> Option<(Cycle, E)> {
-        if k == 0 {
-            return self.pop();
-        }
-        let at = self.peek_time()?;
-        let mut tied = Vec::new();
-        while self.heap.peek().map(|std::cmp::Reverse(e)| e.at) == Some(at) {
-            tied.push(self.heap.pop().expect("peeked entry vanished").0);
-        }
-        let chosen = tied.remove(k.min(tied.len() - 1));
-        for e in tied {
-            self.heap.push(std::cmp::Reverse(e));
-        }
-        Some((chosen.at, chosen.event))
-    }
-
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-}
-
-impl<E> Default for ReferenceEventQueue<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -717,43 +614,5 @@ mod tests {
         }
         let replay: Vec<(Cycle, i32)> = std::iter::from_fn(|| fresh.pop()).collect();
         assert_eq!(replay, popped);
-    }
-
-    #[test]
-    fn reference_queue_matches_on_a_mixed_workout() {
-        let mut wheel = EventQueue::new();
-        let mut refq = ReferenceEventQueue::new();
-        // Deterministic pseudo-random mix of near, far and tied pushes
-        // interleaved with pops (an xorshift so no RNG dep is needed).
-        let mut x = 0x9E37_79B9_7F4A_7C15u64;
-        let mut t = 0u64;
-        for i in 0..5_000u64 {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            let delay = match x % 10 {
-                0..=5 => x % 8,          // heavy tie pressure
-                6..=8 => x % 200,        // typical latencies
-                _ => 2_000 + x % 10_000, // far future (spillover)
-            };
-            wheel.push(Cycle(t + delay), i);
-            refq.push(Cycle(t + delay), i);
-            if x.is_multiple_of(3) {
-                assert_eq!(wheel.tie_width(), refq.tie_width());
-                let a = wheel.pop();
-                assert_eq!(a, refq.pop());
-                if let Some((at, _)) = a {
-                    t = at.0;
-                }
-            }
-        }
-        loop {
-            assert_eq!(wheel.peek_time(), refq.peek_time());
-            let a = wheel.pop();
-            assert_eq!(a, refq.pop());
-            if a.is_none() {
-                break;
-            }
-        }
     }
 }

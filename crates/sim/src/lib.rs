@@ -34,8 +34,6 @@ pub mod rng;
 pub mod schedule;
 
 pub use config::{CoreConfig, MemoryConfig, NocConfig, SystemConfig};
-#[doc(hidden)]
-pub use event::ReferenceEventQueue;
 pub use event::{Cycle, EventQueue};
 pub use rng::SimRng;
 pub use schedule::{DecisionKind, DecisionPoint, DecisionRecord};

@@ -1,16 +1,109 @@
 //! Timing wheel ⇔ reference heap equivalence.
 //!
 //! The production [`EventQueue`] is a timing wheel; the pre-overhaul
-//! binary-heap implementation survives as `ReferenceEventQueue`, the
-//! executable specification of delivery order. These properties drive
-//! both in lockstep over arbitrary operation sequences — pushes near and
-//! far (spillover), into the past, tied, interleaved with plain pops and
-//! k-th tied pops — and demand identical observable behaviour at every
-//! step. Identical pop order is the exact property the simulator's
-//! bit-identical-schedule guarantee rests on.
+//! binary-heap implementation lives on below as [`ReferenceEventQueue`],
+//! the executable specification of delivery order. These properties
+//! drive both in lockstep over arbitrary operation sequences — pushes
+//! near and far (spillover), into the past, tied, interleaved with plain
+//! pops and k-th tied pops — and demand identical observable behaviour
+//! at every step. Identical pop order is the exact property the
+//! simulator's bit-identical-schedule guarantee rests on.
 
-use chats_sim::{Cycle, EventQueue, ReferenceEventQueue};
+use chats_sim::{Cycle, EventQueue};
 use proptest::prelude::*;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
+/// The pre-timing-wheel event queue: a min-heap of `(time, seq, event)`.
+/// `seq` is unique, so ties pop in push order and events are never
+/// compared.
+struct ReferenceEventQueue<E> {
+    heap: BinaryHeap<Reverse<(Cycle, u64, E)>>,
+    seq: u64,
+}
+
+impl<E: Ord> ReferenceEventQueue<E> {
+    fn new() -> Self {
+        ReferenceEventQueue {
+            heap: BinaryHeap::new(),
+            seq: 0,
+        }
+    }
+
+    fn push(&mut self, at: Cycle, event: E) {
+        self.heap.push(Reverse((at, self.seq, event)));
+        self.seq += 1;
+    }
+
+    fn pop(&mut self) -> Option<(Cycle, E)> {
+        self.heap.pop().map(|Reverse((at, _, event))| (at, event))
+    }
+
+    fn peek_time(&self) -> Option<Cycle> {
+        self.heap.peek().map(|Reverse((at, _, _))| *at)
+    }
+
+    fn tie_width(&self) -> usize {
+        let Some(at) = self.peek_time() else { return 0 };
+        self.heap.iter().filter(|Reverse(e)| e.0 == at).count()
+    }
+
+    /// Pops every event tied at the head time, removes the `k`-th
+    /// (clamped), and pushes the rest back with their original `seq`.
+    fn pop_tied(&mut self, k: usize) -> Option<(Cycle, E)> {
+        let at = self.peek_time()?;
+        let mut tied = Vec::new();
+        while self.peek_time() == Some(at) {
+            tied.push(self.heap.pop().expect("peeked entry vanished"));
+        }
+        let Reverse((at, _, chosen)) = tied.remove(k.min(tied.len() - 1));
+        self.heap.extend(tied);
+        Some((at, chosen))
+    }
+
+    fn len(&self) -> usize {
+        self.heap.len()
+    }
+}
+
+/// A fixed deterministic workout: a pseudo-random mix of near, far and
+/// tied pushes interleaved with pops (an xorshift, so the case never
+/// changes with the proptest seed).
+#[test]
+fn reference_queue_matches_on_a_mixed_workout() {
+    let mut wheel = EventQueue::new();
+    let mut refq = ReferenceEventQueue::new();
+    let mut x = 0x9E37_79B9_7F4A_7C15u64;
+    let mut t = 0u64;
+    for i in 0..5_000u64 {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        let delay = match x % 10 {
+            0..=5 => x % 8,          // heavy tie pressure
+            6..=8 => x % 200,        // typical latencies
+            _ => 2_000 + x % 10_000, // far future (spillover)
+        };
+        wheel.push(Cycle(t + delay), i);
+        refq.push(Cycle(t + delay), i);
+        if x.is_multiple_of(3) {
+            assert_eq!(wheel.tie_width(), refq.tie_width());
+            let a = wheel.pop();
+            assert_eq!(a, refq.pop());
+            if let Some((at, _)) = a {
+                t = at.0;
+            }
+        }
+    }
+    loop {
+        assert_eq!(wheel.peek_time(), refq.peek_time());
+        let a = wheel.pop();
+        assert_eq!(a, refq.pop());
+        if a.is_none() {
+            break;
+        }
+    }
+}
 
 /// One queue operation. Delays are generated in the three regimes that
 /// matter to a wheel: inside the current slot window, far beyond it, and

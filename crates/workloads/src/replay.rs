@@ -73,12 +73,18 @@ fn parse_num(s: &str) -> Option<u64> {
 
 impl ThreadTrace {
     /// Parses the line-oriented text format (see the [module docs](self)).
+    /// Every accepted trace has balanced, unnested `begin`/`end` pairs, so
+    /// [`ThreadTrace::compile`] cannot panic on it.
     ///
     /// # Errors
     ///
-    /// Returns the first malformed line.
+    /// Returns the first malformed line: a bad op or operand, an `end`
+    /// with no `begin`, a nested `begin`, or (at the `begin` line) a
+    /// transaction still open when the trace ends.
     pub fn parse(text: &str) -> Result<ThreadTrace, ParseTraceError> {
         let mut ops = Vec::new();
+        // Line of the `begin` of the open transaction, if any.
+        let mut open: Option<usize> = None;
         for (idx, raw) in text.lines().enumerate() {
             let line = idx + 1;
             let l = raw.trim();
@@ -89,8 +95,16 @@ impl ThreadTrace {
             let op = parts.next().expect("non-empty line has a token");
             let err = |message: String| ParseTraceError { line, message };
             let parsed = match op {
-                "begin" => TraceOp::Begin,
-                "end" => TraceOp::End,
+                "begin" => match open.replace(line) {
+                    Some(outer) => {
+                        return Err(err(format!("nested begin (line {outer} is still open)")))
+                    }
+                    None => TraceOp::Begin,
+                },
+                "end" => match open.take() {
+                    Some(_) => TraceOp::End,
+                    None => return Err(err("end without begin".into())),
+                },
                 "load" => {
                     let a = parts
                         .next()
@@ -123,14 +137,21 @@ impl ThreadTrace {
             }
             ops.push(parsed);
         }
-        Ok(ThreadTrace { ops })
+        match open {
+            Some(line) => Err(ParseTraceError {
+                line,
+                message: "transaction never ends".into(),
+            }),
+            None => Ok(ThreadTrace { ops }),
+        }
     }
 
     /// Compiles the trace into a TxVM program.
     ///
     /// # Panics
     ///
-    /// Panics on unbalanced `begin`/`end` pairs.
+    /// Panics on unbalanced `begin`/`end` pairs, which only a trace built
+    /// by hand (not by [`ThreadTrace::parse`]) can have.
     #[must_use]
     pub fn compile(&self) -> Program {
         let (a, v, dummy) = (Reg(0), Reg(1), Reg(2));
@@ -285,6 +306,28 @@ mod tests {
     fn parse_rejects_unknown_ops() {
         let e = ThreadTrace::parse("frobnicate 1\n").unwrap_err();
         assert!(e.message.contains("unknown op"));
+    }
+
+    #[test]
+    fn parse_rejects_end_without_begin() {
+        let e = ThreadTrace::parse("begin\nend\n# gap\nend\n").unwrap_err();
+        assert_eq!(e.line, 4);
+        assert!(e.message.contains("end without begin"), "{e}");
+    }
+
+    #[test]
+    fn parse_rejects_nested_begin() {
+        let e = ThreadTrace::parse("begin\nload 0x0\nbegin\nend\nend\n").unwrap_err();
+        assert_eq!(e.line, 3);
+        assert!(e.message.contains("nested begin"), "{e}");
+        assert!(e.message.contains("line 1"), "{e}");
+    }
+
+    #[test]
+    fn parse_rejects_a_trace_ending_inside_a_transaction() {
+        let e = ThreadTrace::parse("begin\nend\nbegin\nload 0x0\n\n").unwrap_err();
+        assert_eq!(e.line, 3);
+        assert!(e.message.contains("never ends"), "{e}");
     }
 
     #[test]
