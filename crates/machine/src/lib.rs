@@ -70,7 +70,7 @@ pub use commit::{
 pub use core_state::ExecMode;
 pub use faults::{CoreSnapshot, FailureReport};
 pub use machine::{DecisionHook, Machine, RunProgress, SimError, Tuning, Violation};
-pub use trace::{NullSink, RingSink, TraceEvent, TraceSink};
+pub use trace::{RingSink, TraceEvent, TraceSink};
 
 // Re-exported so downstream crates (runner, checker, observability) can
 // speak fault plans without depending on `chats-faults` directly.

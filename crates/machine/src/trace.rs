@@ -294,19 +294,6 @@ pub trait TraceSink {
     }
 }
 
-/// A sink that discards everything (useful to measure tracing overhead
-/// without storage costs).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullSink;
-
-impl TraceSink for NullSink {
-    fn record(&mut self, _ev: TraceEvent) {}
-
-    fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
-        Some(self)
-    }
-}
-
 /// A bounded in-memory ring: keeps the **latest** `capacity` events and
 /// counts every event it had to overwrite, so truncation is always
 /// visible (no more silent drops).
@@ -474,16 +461,6 @@ mod tests {
         }
         assert_eq!(r.events().len(), 3);
         assert_eq!(r.dropped_events(), 0);
-    }
-
-    #[test]
-    fn null_sink_discards() {
-        let mut s = NullSink;
-        s.record(TraceEvent::TxBegin {
-            at: Cycle(0),
-            core: 0,
-        });
-        assert_eq!(s.dropped(), 0);
     }
 
     #[test]

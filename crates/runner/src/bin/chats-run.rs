@@ -10,16 +10,19 @@
 //!
 //! `run` executes the named experiment sets and job labels (default:
 //! `fig4 fig5`) on the worker pool, writes a JSON manifest under
-//! `target/chats-runs/` and prints one row per job plus a summary. A
-//! label such as `kmeans-h/chats:r8` names one job (see
+//! `target/chats-runs/` and prints one row per job, the table of each
+//! named figure (also saved as `<run-id>/<id>.csv` next to the manifest)
+//! and a summary. A label such as `kmeans-h/chats:r8` names one job (see
 //! `JobSpec::from_label`), so shell brace expansion builds ad-hoc grids:
 //! `chats-run run kmeans-h/chats:r{1,2,4,8}`. `--smoke` switches to the
 //! 4-core quick-test machine with the atomicity oracle armed.
 
 use chats_obs::{profile_value, ProfileMeta, Timeline, VecSink};
+use chats_runner::figures::{self, Cells};
+use chats_runner::manifest::PROFILE_ARTIFACT;
 use chats_runner::{
-    default_cache_dir, default_runs_dir, experiments, jobs_table, summary_table,
-    write_manifest_with_profile, DiskCache, JobSet, Runner, RunnerConfig, Scale,
+    default_cache_dir, default_runs_dir, experiments, jobs_table, summary_table, write_manifest,
+    DiskCache, JobSet, Runner, RunnerConfig, Scale,
 };
 use chats_workloads::{registry, run_workload_traced};
 use std::path::PathBuf;
@@ -31,7 +34,10 @@ usage: chats-run <command> [args]
 
 commands:
   list  [SET|LABEL...]      show the jobs of the named sets (default: all)
-  run   [SET|LABEL...]      execute the named sets (default: fig4 fig5)
+  run   [SET|LABEL...]      execute the named sets (default: fig4 fig5) and
+                            print each named figure's table (`all`: every
+                            table); a figure whose cells did not all run
+                            is skipped
   clean                     delete the result cache (and, with --runs, manifests)
 
 options (run):
@@ -62,13 +68,19 @@ options (run):
                             manifest (target/chats-runs/<id>/profile.json)
   --quiet                   no per-job progress lines
 
-sets: fig1 fig4 fig5 fig6 fig7 fig8 fig9 fig10 fig11
-      scaling picwidth chains ablations headline evm all
-
 labels: one job each, as `list` prints them: WORKLOAD/SYSTEM with
         optional :rN :vsbN :ivN :fs-SET :picN :no-overtake :single-link
         :tN :faults-NAME suffixes, e.g. kmeans-h/chats:r8:vsb16
         (systems: baseline naive-rs chats power pchats levc)";
+
+/// [`USAGE`] followed by the set ids, taken from the grids themselves.
+fn usage() -> String {
+    let sets: Vec<String> = experiments::available()
+        .chunks(9)
+        .map(|ids| ids.join(" "))
+        .collect();
+    format!("{USAGE}\n\nsets: {} all", sets.join("\n      "))
+}
 
 struct Args {
     command: String,
@@ -141,7 +153,7 @@ fn parse_args() -> Result<Args, String> {
             "--quiet" => args.quiet = true,
             "--runs" => args.clean_runs = true,
             "--help" | "-h" => {
-                println!("{USAGE}");
+                println!("{}", usage());
                 std::process::exit(0);
             }
             s if s.starts_with('-') => return Err(format!("unknown option '{s}'")),
@@ -160,7 +172,7 @@ fn main() -> ExitCode {
     let args = match parse_args() {
         Ok(a) => a,
         Err(e) => {
-            eprintln!("chats-run: {e}\n\n{USAGE}");
+            eprintln!("chats-run: {e}\n\n{}", usage());
             return ExitCode::from(2);
         }
     };
@@ -174,7 +186,7 @@ fn main() -> ExitCode {
         "run" => cmd_run(&args, scale),
         "clean" => cmd_clean(&args),
         other => {
-            eprintln!("chats-run: unknown command '{other}'\n\n{USAGE}");
+            eprintln!("chats-run: unknown command '{other}'\n\n{}", usage());
             ExitCode::from(2)
         }
     }
@@ -238,7 +250,11 @@ fn cmd_run(args: &Args, scale: Scale) -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    if set.is_empty() {
+    // Only the configuration tables may run with no jobs at all.
+    let tables_only = ids
+        .iter()
+        .all(|id| experiments::set(id, scale).is_some_and(|s| s.is_empty()));
+    if set.is_empty() && !tables_only {
         eprintln!("chats-run: no jobs match");
         return ExitCode::from(2);
     }
@@ -270,34 +286,48 @@ fn cmd_run(args: &Args, scale: Scale) -> ExitCode {
             set.len(),
             ids.join("+"),
             scale.label(),
-            cfg.jobs.clamp(1, set.len())
+            cfg.jobs.clamp(1, set.len().max(1))
         );
     }
     let runner = Runner::new(cfg);
     let report = runner.run_set(&set);
     println!("{}", jobs_table(&report, &set));
+    let mut artifacts = Vec::new();
+    let cells = Cells::new(scale, &report.results);
+    let shown = ids.iter().flat_map(|id| match id.as_str() {
+        "all" => experiments::available().to_vec(),
+        id => vec![id],
+    });
+    for id in shown {
+        match figures::render(id, &cells) {
+            Some(Ok(table)) => {
+                println!("=== {id} ===");
+                println!("{table}");
+                artifacts.push((format!("{id}.csv"), table.to_csv()));
+            }
+            Some(Err(e)) => eprintln!("chats-run: {id}: table skipped, {e}"),
+            None => {}
+        }
+    }
     println!("{}", summary_table(&report));
-    let profile_json = match &args.profile {
-        Some(needle) => match build_profile(&set, needle) {
-            Ok(json) => Some(json),
+    if let Some(needle) = &args.profile {
+        match build_profile(&set, needle) {
+            Ok(json) => artifacts.push((PROFILE_ARTIFACT.to_string(), json)),
             Err(e) => {
                 eprintln!("chats-run: profile: {e}");
                 return ExitCode::FAILURE;
             }
-        },
-        None => None,
-    };
+        }
+    }
     let runs_dir = args.runs_dir.clone().unwrap_or_else(default_runs_dir);
-    match write_manifest_with_profile(
-        &report,
-        &ids,
-        scale.label(),
-        &runs_dir,
-        profile_json.as_deref(),
-    ) {
+    match write_manifest(&report, &ids, scale.label(), &runs_dir, &artifacts) {
         Ok(info) => {
             println!("manifest: {}", info.path.display());
-            if let Some(p) = &info.profile {
+            if let Some(p) = info
+                .artifacts
+                .iter()
+                .find(|p| p.ends_with(PROFILE_ARTIFACT))
+            {
                 println!("profile:  {}", p.display());
             }
         }

@@ -1,11 +1,12 @@
 //! Named experiment sets: the paper's figure grids as [`JobSet`]s.
 //!
-//! Each set enumerates exactly the simulation points its figure needs
-//! (including normalization baselines), so `chats-run fig9` warms every
-//! cache entry the `figures` binary will later read. Grids overlap
-//! heavily — fig4, fig5, fig6 and fig7 read the same points — and the
-//! [`JobSet`] deduplication collapses the overlap to one execution per
-//! unique point.
+//! Each set enumerates exactly the simulation points its figure reads
+//! (including normalization baselines), and [`crate::figures`] renders
+//! the figure from those cells alone. The parameter lists below are the
+//! one declaration both sides use. Grids overlap heavily — fig4, fig5,
+//! fig6 and fig7 read the same points — and the [`JobSet`]
+//! deduplication collapses the overlap to one execution per unique
+//! point.
 
 use crate::job::{JobSet, JobSpec};
 use chats_core::{Ablation, ForwardSet, HtmSystem, PolicyConfig};
@@ -20,11 +21,101 @@ pub const MAIN_SYSTEMS: [HtmSystem; 5] = [
     HtmSystem::Pchats,
 ];
 
+/// Fig. 1: naive requester-speculates against the baseline.
+pub const FIG1_SYSTEMS: [HtmSystem; 2] = [HtmSystem::Baseline, HtmSystem::NaiveRs];
+
+/// Fig. 8: the forwarding systems whose forward set is varied.
+pub const FIG8_SYSTEMS: [HtmSystem; 2] = [HtmSystem::Chats, HtmSystem::Pchats];
+
+/// Fig. 8: which blocks may be forwarded; the first is the normalizer.
+pub const FORWARD_SETS: [ForwardSet; 3] = [
+    ForwardSet::ReadWrite,
+    ForwardSet::WriteOnly,
+    ForwardSet::RestrictedReadWrite,
+];
+
+/// Fig. 9 and the headline numbers: each forwarding system next to the
+/// system it extends.
+pub const PAIRED_SYSTEMS: [HtmSystem; 4] = [
+    HtmSystem::Baseline,
+    HtmSystem::Chats,
+    HtmSystem::Power,
+    HtmSystem::Pchats,
+];
+
+/// Fig. 9: retries before the fallback path.
+pub const RETRIES: [u32; 8] = [1u32, 2, 4, 6, 8, 16, 32, 64];
+
+/// Fig. 10: VSB sizes (one table row each); the first is the corner.
+pub const VSB_SIZES: [usize; 6] = [1usize, 2, 4, 8, 16, 32];
+
+/// Fig. 10: validation intervals in cycles; the first is the corner.
+pub const VALIDATION_INTERVALS: [u64; 4] = [50u64, 100, 200, 400];
+
+/// Fig. 11: CHATS and PCHATS against LEVC-BE-Idealized (the grid adds
+/// the baseline they are normalized to).
+pub const FIG11_SYSTEMS: [HtmSystem; 3] = [
+    HtmSystem::Chats,
+    HtmSystem::Pchats,
+    HtmSystem::LevcBeIdealized,
+];
+
+/// Thread scaling: the one workload it runs.
+const SCALING_WORKLOAD: &str = "kmeans-h";
+
+/// Thread scaling: the systems compared.
+pub const SCALING_SYSTEMS: [HtmSystem; 2] = [HtmSystem::Baseline, HtmSystem::Chats];
+
+/// PiC register widths swept by `picwidth`.
+pub const PIC_BITS: [u32; 6] = [2u32, 3, 4, 5, 6, 7];
+
+/// The ablation variants with their table labels; the first (no
+/// ablation) is the normalizer.
+pub const ABLATIONS: [(&str, Ablation); 4] = [
+    (
+        "full CHATS",
+        Ablation {
+            no_pic_overtake: false,
+            single_link_chains: false,
+        },
+    ),
+    (
+        "no PiC overtake (Fig.3F off)",
+        Ablation {
+            no_pic_overtake: true,
+            single_link_chains: false,
+        },
+    ),
+    (
+        "single-link chains (LEVC-like)",
+        Ablation {
+            no_pic_overtake: false,
+            single_link_chains: true,
+        },
+    ),
+    (
+        "both ablations",
+        Ablation {
+            no_pic_overtake: true,
+            single_link_chains: true,
+        },
+    ),
+];
+
 /// The contended subset used for the sensitivity studies (Fig. 10,
 /// ablations, PiC width).
 #[must_use]
 pub fn contended() -> [&'static str; 4] {
     ["genome", "intruder", "kmeans-h", "yada"]
+}
+
+/// Thread counts of the scaling study at `scale`.
+#[must_use]
+pub fn scaling_threads(scale: Scale) -> &'static [usize] {
+    match scale {
+        Scale::Paper => &[1, 2, 4, 8, 16],
+        Scale::Quick => &[1, 2, 4],
+    }
 }
 
 /// Machine scale experiments run at.
@@ -58,10 +149,13 @@ impl Scale {
 }
 
 /// Ids accepted by [`set`], in figure order. `all` (the union of every
-/// set) is accepted too but not listed.
+/// set) is accepted too but not listed. `table1` and `table2` describe
+/// the configuration, so their grids are empty.
 #[must_use]
 pub fn available() -> &'static [&'static str] {
     &[
+        "table1",
+        "table2",
         "fig1",
         "fig4",
         "fig5",
@@ -89,9 +183,10 @@ pub fn set(id: &str, scale: Scale) -> Option<JobSet> {
     let sys = PolicyConfig::for_system;
     let mut jobs = JobSet::new();
     match id {
+        "table1" | "table2" => {}
         "fig1" => {
             for w in registry::all() {
-                for s in [HtmSystem::Baseline, HtmSystem::NaiveRs] {
+                for s in FIG1_SYSTEMS {
                     jobs.push(job(w.name(), sys(s)));
                 }
             }
@@ -106,31 +201,20 @@ pub fn set(id: &str, scale: Scale) -> Option<JobSet> {
             }
         }
         "fig8" => {
-            let sets = [
-                ForwardSet::ReadWrite,
-                ForwardSet::WriteOnly,
-                ForwardSet::RestrictedReadWrite,
-            ];
             for w in registry::all() {
-                for s in [HtmSystem::Chats, HtmSystem::Pchats] {
-                    for fs in sets {
+                for s in FIG8_SYSTEMS {
+                    for fs in FORWARD_SETS {
                         jobs.push(job(w.name(), sys(s).with_forward_set(fs)));
                     }
                 }
             }
         }
         "fig9" => {
-            let systems = [
-                HtmSystem::Baseline,
-                HtmSystem::Chats,
-                HtmSystem::Power,
-                HtmSystem::Pchats,
-            ];
             for w in registry::stamp() {
                 // Normalization baseline at Table II defaults.
                 jobs.push(job(w.name(), sys(HtmSystem::Baseline)));
-                for s in systems {
-                    for r in [1u32, 2, 4, 6, 8, 16, 32, 64] {
+                for s in PAIRED_SYSTEMS {
+                    for r in RETRIES {
                         jobs.push(job(w.name(), sys(s).with_retries(r)));
                     }
                 }
@@ -138,8 +222,8 @@ pub fn set(id: &str, scale: Scale) -> Option<JobSet> {
         }
         "fig10" => {
             for w in contended() {
-                for vsb in [1usize, 2, 4, 8, 16, 32] {
-                    for iv in [50u64, 100, 200, 400] {
+                for vsb in VSB_SIZES {
+                    for iv in VALIDATION_INTERVALS {
                         jobs.push(job(
                             w,
                             sys(HtmSystem::Chats)
@@ -152,33 +236,23 @@ pub fn set(id: &str, scale: Scale) -> Option<JobSet> {
         }
         "fig11" => {
             for w in registry::all() {
-                for s in [
-                    HtmSystem::Baseline,
-                    HtmSystem::Chats,
-                    HtmSystem::Pchats,
-                    HtmSystem::LevcBeIdealized,
-                ] {
+                jobs.push(job(w.name(), sys(HtmSystem::Baseline)));
+                for s in FIG11_SYSTEMS {
                     jobs.push(job(w.name(), sys(s)));
                 }
             }
         }
         "scaling" => {
-            let threads: &[usize] = match scale {
-                Scale::Paper => &[1, 2, 4, 8, 16],
-                Scale::Quick => &[1, 2, 4],
-            };
-            for s in [HtmSystem::Baseline, HtmSystem::Chats] {
-                for &n in threads {
-                    let mut c = cfg.clone();
-                    c.threads = n;
-                    jobs.push(JobSpec::new("kmeans-h", sys(s), c));
+            for s in SCALING_SYSTEMS {
+                for &n in scaling_threads(scale) {
+                    jobs.push(scaling_job(s, n, scale));
                 }
             }
         }
         "picwidth" => {
             for w in contended() {
                 jobs.push(job(w, sys(HtmSystem::Chats)));
-                for bits in [2u32, 3, 4, 5, 6, 7] {
+                for bits in PIC_BITS {
                     jobs.push(job(w, sys(HtmSystem::Chats).with_pic_bits(bits)));
                 }
             }
@@ -189,35 +263,15 @@ pub fn set(id: &str, scale: Scale) -> Option<JobSet> {
             }
         }
         "ablations" => {
-            let variants = [
-                Ablation::default(),
-                Ablation {
-                    no_pic_overtake: true,
-                    single_link_chains: false,
-                },
-                Ablation {
-                    no_pic_overtake: false,
-                    single_link_chains: true,
-                },
-                Ablation {
-                    no_pic_overtake: true,
-                    single_link_chains: true,
-                },
-            ];
             for w in contended() {
-                for ab in variants {
+                for (_, ab) in ABLATIONS {
                     jobs.push(job(w, sys(HtmSystem::Chats).with_ablation(ab)));
                 }
             }
         }
         "headline" => {
             for w in registry::stamp() {
-                for s in [
-                    HtmSystem::Baseline,
-                    HtmSystem::Chats,
-                    HtmSystem::Power,
-                    HtmSystem::Pchats,
-                ] {
+                for s in PAIRED_SYSTEMS {
                     jobs.push(job(w.name(), sys(s)));
                 }
             }
@@ -240,6 +294,15 @@ pub fn set(id: &str, scale: Scale) -> Option<JobSet> {
         _ => return None,
     }
     Some(jobs)
+}
+
+/// One cell of the scaling study: `system` on `SCALING_WORKLOAD` with
+/// `threads` threads on the `scale` machine.
+#[must_use]
+pub fn scaling_job(system: HtmSystem, threads: usize, scale: Scale) -> JobSpec {
+    let mut cfg = scale.run_config();
+    cfg.threads = threads;
+    JobSpec::new(SCALING_WORKLOAD, PolicyConfig::for_system(system), cfg)
 }
 
 /// The union of several named sets and job labels, in the given order.
@@ -269,7 +332,12 @@ mod tests {
     fn every_advertised_set_resolves() {
         for id in available() {
             let s = set(id, Scale::Quick).unwrap_or_else(|| panic!("{id} missing"));
-            assert!(!s.is_empty(), "{id} is empty");
+            let table = id.starts_with("table");
+            assert_eq!(
+                s.is_empty(),
+                table,
+                "{id}: only the tables have empty grids"
+            );
         }
         assert!(set("all", Scale::Quick).is_some());
         assert!(set("fig2", Scale::Quick).is_none());

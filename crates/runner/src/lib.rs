@@ -9,7 +9,10 @@
 //! * [`job::JobSpec`] — one simulation point; its [`job::JobId`] is an
 //!   FNV-1a hash of the *full* canonical configuration, so identical
 //!   points requested by different figures share one execution.
-//! * [`experiments`] — the paper's figure grids as named [`job::JobSet`]s.
+//! * [`experiments`] — the paper's figure grids as named [`job::JobSet`]s,
+//!   with each figure's parameter lists declared once.
+//! * [`figures`] — one renderer per table/figure, reading a finished
+//!   run's results ([`figures::Cells`]) and never simulating.
 //! * [`pool::Runner`] — worker pool sized by `available_parallelism`,
 //!   with per-attempt wall-clock timeouts, bounded retries, panic
 //!   isolation, and an optional determinism gate (run twice, demand
@@ -23,13 +26,14 @@
 //!   workspace's one JSON type, `serde::Value`, re-exported under the
 //!   runner's name (sorted keys, exact `u64`/`i64` lanes, strict parser).
 //!
-//! The `chats-run` binary exposes all of this on the command line; the
-//! `chats-bench` harness routes its measurements through [`pool::Runner`]
-//! so figures and ad-hoc grids share the same cache.
+//! The `chats-run` binary exposes all of this on the command line: `run`
+//! executes the named grids and job labels, then prints and saves each
+//! requested figure's table next to the manifest.
 
 pub mod cache;
 pub mod checkpoint;
 pub mod experiments;
+pub mod figures;
 pub mod hash;
 pub mod job;
 pub mod manifest;
@@ -39,9 +43,6 @@ pub use cache::{default_cache_dir, DiskCache, CACHE_VERSION};
 pub use checkpoint::{checkpoint_dir, execute_checkpointed, CheckpointConfig, CommitMeta};
 pub use experiments::{contended, Scale, MAIN_SYSTEMS};
 pub use job::{JobId, JobSet, JobSpec};
-pub use manifest::{
-    default_runs_dir, jobs_table, summary_table, write_manifest, write_manifest_with_profile,
-    ManifestInfo,
-};
+pub use manifest::{default_runs_dir, jobs_table, summary_table, write_manifest, ManifestInfo};
 pub use pool::{JobOutcome, JobRecord, RunReport, Runner, RunnerConfig};
 pub use serde::Value as Json;

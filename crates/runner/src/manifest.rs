@@ -36,28 +36,17 @@ pub struct ManifestInfo {
     pub path: PathBuf,
     /// Timestamp-plus-content id, unique per invocation.
     pub run_id: String,
-    /// `<runs-dir>/<run-id>/profile.json`, when a profile was attached.
-    pub profile: Option<PathBuf>,
+    /// `<runs-dir>/<run-id>/<name>` for each artifact, in the order given.
+    pub artifacts: Vec<PathBuf>,
 }
+
+/// The artifact name [`write_manifest`] links from the manifest's
+/// `profile` field.
+pub const PROFILE_ARTIFACT: &str = "profile.json";
 
 /// Builds the manifest JSON document for a report.
 #[must_use]
 pub fn manifest_json(report: &RunReport, sets: &[String], scale: &str, run_id: &str) -> Json {
-    manifest_json_with_profile(report, sets, scale, run_id, None)
-}
-
-/// [`manifest_json`] plus an optional `profile` field — the manifest-dir
-/// relative path of a cycle-accounting profile artifact. The field is
-/// simply absent when no profile was recorded, so older manifests and
-/// consumers are unaffected.
-#[must_use]
-pub fn manifest_json_with_profile(
-    report: &RunReport,
-    sets: &[String],
-    scale: &str,
-    run_id: &str,
-    profile_rel: Option<&str>,
-) -> Json {
     let created_ms = unix_millis();
     let cached = report.count("cached");
     let total = report.records.len();
@@ -206,9 +195,6 @@ pub fn manifest_json_with_profile(
     root.insert("jobs".to_string(), Json::Obj(jobs));
     root.insert("cache".to_string(), Json::Obj(cache));
     root.insert("per_job".to_string(), Json::Arr(per_job));
-    if let Some(rel) = profile_rel {
-        root.insert("profile".to_string(), Json::Str(rel.to_string()));
-    }
     Json::Obj(root)
 }
 
@@ -240,7 +226,11 @@ fn commit_to_json(meta: &crate::checkpoint::CommitMeta) -> Json {
     Json::Obj(m)
 }
 
-/// Writes the manifest for a report into `dir`.
+/// Writes the manifest for a report into `dir`, and each artifact, a
+/// `(file name, contents)` pair, to `<dir>/<run-id>/<name>`. A
+/// [`PROFILE_ARTIFACT`] is also linked from the manifest's `profile`
+/// field, relative to `dir`; without one the field is absent, so
+/// consumers of older manifests see no change.
 ///
 /// # Errors
 ///
@@ -250,24 +240,7 @@ pub fn write_manifest(
     sets: &[String],
     scale: &str,
     dir: &Path,
-) -> io::Result<ManifestInfo> {
-    write_manifest_with_profile(report, sets, scale, dir, None)
-}
-
-/// [`write_manifest`] plus an optional profile artifact: when
-/// `profile_json` is given, it is written to `<dir>/<run-id>/profile.json`
-/// and the manifest gains a `profile` field pointing at it (relative to
-/// `dir`).
-///
-/// # Errors
-///
-/// Propagates filesystem errors.
-pub fn write_manifest_with_profile(
-    report: &RunReport,
-    sets: &[String],
-    scale: &str,
-    dir: &Path,
-    profile_json: Option<&str>,
+    artifacts: &[(String, String)],
 ) -> io::Result<ManifestInfo> {
     fs::create_dir_all(dir)?;
     let salt: String = report.records.iter().map(|r| r.id.as_str()).collect();
@@ -276,26 +249,29 @@ pub fn write_manifest_with_profile(
         unix_millis(),
         fnv1a_64(salt.as_bytes()) ^ u64::from(std::process::id())
     );
-    let mut profile = None;
-    let mut profile_rel = None;
-    if let Some(json) = profile_json {
-        let subdir = dir.join(&run_id);
+    let mut doc = manifest_json(report, sets, scale, &run_id);
+    let subdir = dir.join(&run_id);
+    let mut written = Vec::new();
+    for (name, contents) in artifacts {
         fs::create_dir_all(&subdir)?;
-        let p = subdir.join("profile.json");
-        fs::write(&p, json)?;
-        profile_rel = Some(format!("{run_id}/profile.json"));
-        profile = Some(p);
+        let p = subdir.join(name);
+        fs::write(&p, contents)?;
+        written.push(p);
+        if name == PROFILE_ARTIFACT {
+            if let Json::Obj(root) = &mut doc {
+                root.insert(
+                    "profile".to_string(),
+                    Json::Str(format!("{run_id}/{PROFILE_ARTIFACT}")),
+                );
+            }
+        }
     }
     let path = dir.join(format!("{run_id}.json"));
-    fs::write(
-        &path,
-        manifest_json_with_profile(report, sets, scale, &run_id, profile_rel.as_deref())
-            .to_pretty(),
-    )?;
+    fs::write(&path, doc.to_pretty())?;
     Ok(ManifestInfo {
         path,
         run_id,
-        profile,
+        artifacts: written,
     })
 }
 
@@ -607,19 +583,15 @@ mod tests {
 
         let dir = std::env::temp_dir().join(format!("chats-profile-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let info = write_manifest_with_profile(
-            &report,
-            &["fig4".into()],
-            "quick",
-            &dir,
-            Some("{\"useful\": 1}"),
-        )
-        .unwrap();
-        let profile_path = info.profile.expect("profile written");
-        assert_eq!(
-            std::fs::read_to_string(&profile_path).unwrap(),
-            "{\"useful\": 1}"
-        );
+        let artifacts = [
+            ("fig4.csv".to_string(), "a,b\n".to_string()),
+            (PROFILE_ARTIFACT.to_string(), "{\"useful\": 1}".to_string()),
+        ];
+        let info = write_manifest(&report, &["fig4".into()], "quick", &dir, &artifacts).unwrap();
+        assert_eq!(info.artifacts.len(), 2);
+        for ((_, contents), path) in artifacts.iter().zip(&info.artifacts) {
+            assert_eq!(&std::fs::read_to_string(path).unwrap(), contents);
+        }
         let back = Json::parse(&std::fs::read_to_string(&info.path).unwrap()).unwrap();
         assert_eq!(
             back.get("profile").and_then(Json::as_str),
@@ -632,7 +604,7 @@ mod tests {
     fn write_manifest_creates_file() {
         let dir = std::env::temp_dir().join(format!("chats-manifest-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let info = write_manifest(&sample_report(), &["fig4".into()], "quick", &dir).unwrap();
+        let info = write_manifest(&sample_report(), &["fig4".into()], "quick", &dir, &[]).unwrap();
         let text = std::fs::read_to_string(&info.path).unwrap();
         let back = Json::parse(&text).unwrap();
         assert_eq!(

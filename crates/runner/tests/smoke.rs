@@ -165,5 +165,66 @@ fn unknown_set_and_empty_filter_fail_cleanly() {
     );
     assert_eq!(no_match.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&no_match.stderr).contains("no jobs match"));
+
+    // The usage text printed on a bad command lists every set id.
+    let bad_command = chats_run(&root, &["frobnicate"]);
+    assert_eq!(bad_command.status.code(), Some(2));
+    let usage = String::from_utf8_lossy(&bad_command.stderr);
+    let listed: Vec<&str> = usage
+        .lines()
+        .skip_while(|l| !l.starts_with("sets:"))
+        .flat_map(str::split_whitespace)
+        .collect();
+    for id in chats_runner::experiments::available() {
+        assert!(listed.contains(id), "usage omits {id}:\n{usage}");
+    }
+    let _ = fs::remove_dir_all(&root);
+}
+
+/// A named figure is printed after the job rows and saved as a CSV in the
+/// run's artifact directory; the configuration tables need no jobs.
+#[test]
+fn smoke_run_prints_and_saves_figure_tables() {
+    let root = temp_root("figures");
+    let out = chats_run(&root, &["run", "table1", "chains", "--smoke", "--quiet"]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{stdout}");
+    let table1 = stdout.find("=== table1 ===").expect("table1 printed");
+    let chains = stdout.find("=== chains ===").expect("chains printed");
+    let last_job = stdout.rfind("cadd/chats").expect("job rows printed");
+    let summary = stdout.find("cache hit rate").expect("summary printed");
+    assert!(
+        last_job < table1 && table1 < chains && chains < summary,
+        "{stdout}"
+    );
+    let run_dirs: Vec<PathBuf> = fs::read_dir(root.join("runs"))
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.is_dir())
+        .collect();
+    assert_eq!(run_dirs.len(), 1, "{run_dirs:?}");
+    for id in ["table1", "chains"] {
+        let csv = fs::read_to_string(run_dirs[0].join(format!("{id}.csv"))).unwrap();
+        assert!(csv.lines().count() > 1, "{id}.csv: {csv}");
+    }
+
+    // Without all of its cells a figure is skipped with one stderr line,
+    // and the exit code still reflects the jobs alone.
+    let filtered = chats_run(
+        &root,
+        &["run", "chains", "--smoke", "--quiet", "--filter", "cadd/"],
+    );
+    assert!(filtered.status.success());
+    assert!(!String::from_utf8_lossy(&filtered.stdout).contains("=== chains ==="));
+    let stderr = String::from_utf8_lossy(&filtered.stderr);
+    assert_eq!(stderr.lines().count(), 1, "{stderr}");
+    assert!(
+        stderr.contains("chains: table skipped, missing cell"),
+        "{stderr}"
+    );
+
+    let tables_only = chats_run(&root, &["run", "table2", "--smoke", "--quiet"]);
+    assert!(tables_only.status.success());
+    assert!(String::from_utf8_lossy(&tables_only.stdout).contains("=== table2 ==="));
     let _ = fs::remove_dir_all(&root);
 }

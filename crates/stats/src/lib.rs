@@ -1,20 +1,18 @@
 #![warn(missing_docs)]
 
-//! Statistics, normalization and table rendering.
+//! Statistics, means and table rendering.
 //!
-//! The timing machine fills a [`RunStats`] per simulation; the benchmark
-//! harness post-processes collections of them into the paper's tables and
-//! figures with the helpers in [`summary`] and renders them with
-//! [`table::Table`].
+//! The timing machine fills a [`RunStats`] per simulation; the figure
+//! renderers in `chats-runner` normalize collections of them into the
+//! paper's tables, average them with the helpers in [`summary`] and
+//! render them with [`table::Table`].
 
-pub mod chart;
 pub mod hist;
 pub mod run;
 pub mod summary;
 pub mod table;
 
-pub use chart::BarChart;
 pub use hist::Histogram;
 pub use run::{RunStats, TxOutcomeCounts};
-pub use summary::{amean, gmean, normalize, normalize_to};
+pub use summary::{amean, gmean};
 pub use table::Table;

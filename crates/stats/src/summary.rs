@@ -1,45 +1,9 @@
-//! Normalization and mean helpers for figure generation.
+//! Mean helpers for figure generation.
 //!
-//! All of the paper's performance figures are *normalized to the baseline*;
-//! these helpers implement that normalization plus the arithmetic and
-//! geometric means the paper reports (microbenchmarks excluded from means —
-//! that selection is the harness's job).
-
-/// Divides each value by its corresponding baseline value.
-///
-/// # Panics
-///
-/// Panics if lengths differ or any baseline value is zero.
-///
-/// # Example
-///
-/// ```
-/// use chats_stats::normalize;
-/// assert_eq!(normalize(&[50.0, 200.0], &[100.0, 100.0]), vec![0.5, 2.0]);
-/// ```
-#[must_use]
-pub fn normalize(values: &[f64], baseline: &[f64]) -> Vec<f64> {
-    assert_eq!(values.len(), baseline.len(), "length mismatch");
-    values
-        .iter()
-        .zip(baseline)
-        .map(|(v, b)| {
-            assert!(*b != 0.0, "baseline value is zero");
-            v / b
-        })
-        .collect()
-}
-
-/// Normalizes one value to a baseline.
-///
-/// # Panics
-///
-/// Panics if `baseline` is zero.
-#[must_use]
-pub fn normalize_to(value: f64, baseline: f64) -> f64 {
-    assert!(baseline != 0.0, "baseline value is zero");
-    value / baseline
-}
+//! All of the paper's performance figures are *normalized to the
+//! baseline*, then averaged with the arithmetic and geometric means
+//! below. Normalizing and leaving microbenchmarks out of the means is
+//! the job of the figure renderers in `chats-runner`.
 
 /// Arithmetic mean; `0.0` for an empty slice.
 #[must_use]
@@ -73,24 +37,6 @@ pub fn gmean(values: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn normalize_basic() {
-        let n = normalize(&[10.0, 30.0, 90.0], &[10.0, 10.0, 30.0]);
-        assert_eq!(n, vec![1.0, 3.0, 3.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "length mismatch")]
-    fn normalize_length_mismatch_panics() {
-        let _ = normalize(&[1.0], &[1.0, 2.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "zero")]
-    fn normalize_zero_baseline_panics() {
-        let _ = normalize_to(1.0, 0.0);
-    }
 
     #[test]
     fn amean_basic() {
