@@ -84,24 +84,24 @@ impl Machine {
         let mut spec_src = false; // value descends from an unvalidated SpecResp
         {
             let c = &mut self.cores[core];
-            if let Some(e) = c.l1.lookup_mut(line) {
+            if let Some(mut e) = c.l1.lookup_mut(line) {
                 if !is_store && e.state.is_readable() {
                     serviced = Some(e.data.read(addr));
-                    spec_src = e.spec_received;
+                    spec_src = e.spec_received();
                 } else if is_store && e.state.is_writable() {
                     if in_tx {
-                        if !e.sm {
+                        if !e.sm() {
                             // Lazy versioning: push the committed value down
                             // before the first speculative write (§VI-B).
                             if e.state == CoherenceState::Modified {
                                 wb = Some((line, e.data));
                             }
-                            e.sm = true;
+                            e.mark_written();
                         }
                     } else {
-                        e.state = CoherenceState::Modified;
+                        e.set_state(CoherenceState::Modified);
                     }
-                    e.data.write(addr, value);
+                    e.data_mut().write(addr, value);
                     serviced = Some(0);
                 }
             }
@@ -377,12 +377,10 @@ impl Machine {
         let verdict = {
             let c = &mut self.cores[core];
             // Train the Rrestrict/W predictor with this attempt's writes.
-            let (l1, predictor, site) = (&c.l1, &mut c.write_predictor, c.tx_site);
-            predictor.entry(site).or_default().extend(
-                l1.iter()
-                    .filter(|e| e.sm && !e.spec_received)
-                    .map(|e| e.addr),
-            );
+            c.write_predictor
+                .entry(c.tx_site)
+                .or_default()
+                .extend(c.l1.written_lines());
             c.l1.drop_speculative();
             c.read_sig.clear();
             c.vsb.clear();
@@ -577,7 +575,7 @@ impl Machine {
     ) -> bool {
         let outcome = self.cores[core].l1.insert(line, state, data);
         if let EvictOutcome::Evicted(victim) = outcome {
-            if victim.sm || victim.spec_received {
+            if victim.is_speculative() {
                 // A write-set or spec-received block left the cache: the
                 // transaction cannot survive (§III-A).
                 self.do_abort(core, AbortCause::Capacity);

@@ -394,7 +394,7 @@ impl Machine {
         let line = addr.line();
         for c in &self.cores {
             if let Some(e) = c.l1.lookup(line) {
-                if e.state == CoherenceState::Modified && !e.sm && !e.spec_received {
+                if e.state == CoherenceState::Modified && !e.is_speculative() {
                     return e.data.read(addr);
                 }
             }
@@ -414,7 +414,7 @@ impl Machine {
             self.dir.store.lines().map(|(l, _)| l).collect();
         for c in &self.cores {
             for e in c.l1.iter() {
-                if e.state == CoherenceState::Modified && !e.sm && !e.spec_received {
+                if e.state == CoherenceState::Modified && !e.is_speculative() {
                     lines.insert(e.addr);
                 }
             }
@@ -452,7 +452,7 @@ impl Machine {
         if self.cores[core]
             .l1
             .lookup(addr.line())
-            .is_some_and(|e| e.spec_received)
+            .is_some_and(|e| e.spec_received())
         {
             return;
         }
@@ -484,6 +484,16 @@ impl Machine {
     #[must_use]
     pub fn stats(&self) -> &RunStats {
         &self.stats
+    }
+
+    /// Core `core`'s L1, read-only.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `core` is out of range.
+    #[must_use]
+    pub fn l1(&self, core: usize) -> &chats_mem::Cache {
+        &self.cores[core].l1
     }
 
     /// Enables protocol tracing into the built-in bounded ring: the
@@ -572,8 +582,8 @@ impl Machine {
                     s,
                     "core{i}: {:?} sm={} spec={} data={:?} in_sig={} vsb={} mode={:?}",
                     e.state,
-                    e.sm,
-                    e.spec_received,
+                    e.sm(),
+                    e.spec_received(),
                     e.data,
                     c.read_sig.contains(line),
                     c.vsb.contains(line),

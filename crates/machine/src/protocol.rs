@@ -310,7 +310,7 @@ impl Machine {
                 "probe at core{core} from core{} getx={} in_ws={:?} in_rs={} mode={:?}",
                 req.core,
                 req.getx,
-                c.l1.lookup(req.line).map(|e| e.sm),
+                c.l1.lookup(req.line).map(|e| e.sm()),
                 c.read_sig.contains(req.line),
                 c.mode
             );
@@ -319,7 +319,7 @@ impl Machine {
         let (has_copy, in_ws) = {
             let c = &self.cores[core];
             match c.l1.lookup(req.line) {
-                Some(e) => (true, e.sm),
+                Some(e) => (true, e.sm()),
                 None => (false, false),
             }
         };
@@ -439,12 +439,12 @@ impl Machine {
                 }
             } else {
                 match c.l1.lookup_mut(req.line) {
-                    Some(e) => {
+                    Some(mut e) => {
                         data_to_req = Some(e.data);
                         if e.state == CoherenceState::Modified {
                             self.dir.store.write_line(req.line, e.data);
                         }
-                        e.state = CoherenceState::Shared;
+                        e.set_state(CoherenceState::Shared);
                         outcome = ProbeOutcome::Shared { owner: core };
                     }
                     None => outcome = ProbeOutcome::NotServiced,
@@ -546,15 +546,15 @@ impl Machine {
         {
             let c = &mut self.cores[core];
             if pm.is_store {
-                let e = c.l1.lookup_mut(line).expect("line just inserted");
+                let mut e = c.l1.lookup_mut(line).expect("line just inserted");
                 if in_tx {
                     // The received data is the committed version and the
                     // store already has it: mark write-set and overwrite.
-                    e.sm = true;
+                    e.mark_written();
                 } else {
-                    e.state = CoherenceState::Modified;
+                    e.set_state(CoherenceState::Modified);
                 }
-                e.data.write(pm.addr, pm.store_value);
+                e.data_mut().write(pm.addr, pm.store_value);
                 if in_tx {
                     c.oracle.note_write(pm.addr, pm.store_value);
                 }
@@ -666,11 +666,10 @@ impl Machine {
         let mut loaded: Option<u64> = None;
         {
             let c = &mut self.cores[core];
-            let e = c.l1.lookup_mut(line).expect("line just inserted");
-            e.sm = true;
-            e.spec_received = true;
+            let mut e = c.l1.lookup_mut(line).expect("line just inserted");
+            e.mark_spec_received();
             if pm.is_store {
-                e.data.write(pm.addr, pm.store_value);
+                e.data_mut().write(pm.addr, pm.store_value);
                 c.oracle.note_write(pm.addr, pm.store_value);
                 c.vm.as_mut().expect("no thread").complete_store();
             } else {

@@ -114,8 +114,8 @@ impl Machine {
         {
             let c = &mut self.cores[core];
             c.vsb.remove(line);
-            if let Some(e) = c.l1.lookup_mut(line) {
-                e.spec_received = false;
+            if let Some(mut e) = c.l1.lookup_mut(line) {
+                e.clear_spec_received();
             }
             c.naive.on_successful_validation();
         }

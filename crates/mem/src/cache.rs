@@ -12,10 +12,16 @@
 //! Replacement is LRU but *favours* keeping write-set blocks, as the paper
 //! notes real RTM replacement does; evicting an SM or spec-received line is
 //! reported to the caller, which turns it into a capacity abort.
+//!
+//! The two HTM bits change only through [`EntryMut`], which logs every line
+//! that joins the write set. Commit and abort then visit the logged lines
+//! instead of the whole array, so a transaction end costs O(write set), as
+//! the hardware's one-step gang clear / gang invalidate does.
 
 use crate::addr::LineAddr;
 use crate::line::Line;
 use std::fmt;
+use std::ops::Deref;
 
 /// MESI stable states as seen by the private cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -53,11 +59,85 @@ pub struct CacheEntry {
     pub state: CoherenceState,
     /// Current (possibly speculative) data.
     pub data: Line,
-    /// Speculatively modified inside the running transaction (write set).
-    pub sm: bool,
-    /// Received via `SpecResp` and not yet validated.
-    pub spec_received: bool,
+    sm: bool,
+    spec_received: bool,
     lru: u64,
+}
+
+impl CacheEntry {
+    /// Speculatively modified inside the running transaction (write set).
+    #[must_use]
+    pub fn sm(&self) -> bool {
+        self.sm
+    }
+
+    /// Received via `SpecResp` and not yet validated.
+    #[must_use]
+    pub fn spec_received(&self) -> bool {
+        self.spec_received
+    }
+
+    /// Part of the transaction's speculative state: SM or spec-received.
+    #[must_use]
+    pub fn is_speculative(&self) -> bool {
+        self.sm || self.spec_received
+    }
+}
+
+/// A resident line borrowed through [`Cache::lookup_mut`].
+///
+/// Reads go through `Deref` to the [`CacheEntry`]; writes go through the
+/// methods below, so the SM and spec-received bits can only be set where
+/// the cache's speculative-line log sees them.
+pub struct EntryMut<'a> {
+    entry: &'a mut CacheEntry,
+    spec_log: &'a mut Vec<LineAddr>,
+}
+
+impl Deref for EntryMut<'_> {
+    type Target = CacheEntry;
+    fn deref(&self) -> &CacheEntry {
+        self.entry
+    }
+}
+
+impl EntryMut<'_> {
+    /// Sets the MESI state.
+    pub fn set_state(&mut self, state: CoherenceState) {
+        self.entry.state = state;
+    }
+
+    /// The line's data, for stores.
+    pub fn data_mut(&mut self) -> &mut Line {
+        &mut self.entry.data
+    }
+
+    /// Sets the SM bit: the line joins the write set.
+    pub fn mark_written(&mut self) {
+        self.log();
+        self.entry.sm = true;
+    }
+
+    /// Marks a line received through a `SpecResp`: it joins the write set
+    /// (SM) and is pending validation (spec-received).
+    pub fn mark_spec_received(&mut self) {
+        self.log();
+        self.entry.sm = true;
+        self.entry.spec_received = true;
+    }
+
+    /// Clears the spec-received bit (successful validation). The SM bit
+    /// stays, so the line remains in the write set and in the log.
+    pub fn clear_spec_received(&mut self) {
+        self.entry.spec_received = false;
+    }
+
+    /// Logs the line the first time one of its bits is set.
+    fn log(&mut self) {
+        if !self.entry.is_speculative() {
+            self.spec_log.push(self.entry.addr);
+        }
+    }
 }
 
 /// What [`Cache::insert`] displaced, if anything.
@@ -88,6 +168,11 @@ pub struct Cache {
     ways: usize,
     entries: Vec<Vec<CacheEntry>>,
     lru_clock: u64,
+    /// Every line whose SM or spec-received bit was set since the last
+    /// commit or abort. A superset of the speculative lines: entries of
+    /// evicted, invalidated or re-logged lines are re-checked against the
+    /// bits and skipped. Derived state, rebuilt by `load`.
+    spec_log: Vec<LineAddr>,
 }
 
 impl fmt::Debug for Cache {
@@ -116,6 +201,7 @@ impl Cache {
             ways,
             entries: (0..sets).map(|_| Vec::with_capacity(ways)).collect(),
             lru_clock: 0,
+            spec_log: Vec::new(),
         }
     }
 
@@ -131,19 +217,18 @@ impl Cache {
     }
 
     /// Mutable lookup; refreshes LRU order.
-    pub fn lookup_mut(&mut self, addr: LineAddr) -> Option<&mut CacheEntry> {
+    pub fn lookup_mut(&mut self, addr: LineAddr) -> Option<EntryMut<'_>> {
         self.lru_clock += 1;
         let clock = self.lru_clock;
         let set = self.set_of(addr);
         let entry = self.entries[set]
             .iter_mut()
-            .find(|e| e.addr == addr && e.state.is_readable());
-        if let Some(e) = entry {
-            e.lru = clock;
-            Some(e)
-        } else {
-            None
-        }
+            .find(|e| e.addr == addr && e.state.is_readable())?;
+        entry.lru = clock;
+        Some(EntryMut {
+            entry,
+            spec_log: &mut self.spec_log,
+        })
     }
 
     /// Inserts (or overwrites) a line, choosing a victim if the set is full.
@@ -207,44 +292,47 @@ impl Cache {
         Some(lines.swap_remove(idx))
     }
 
-    /// Conditional gang invalidation of all speculative lines (write set and
-    /// spec-received), as on transaction abort. Returns the dropped line
-    /// addresses.
-    pub fn gang_invalidate_speculative(&mut self) -> Vec<LineAddr> {
-        let mut dropped = Vec::new();
-        for set in &mut self.entries {
-            set.retain(|e| {
-                if e.sm || e.spec_received {
-                    dropped.push(e.addr);
-                    false
-                } else {
-                    true
-                }
-            });
-        }
-        dropped
-    }
-
-    /// [`Cache::gang_invalidate_speculative`] without collecting the
-    /// dropped addresses — the abort hot path does not need them.
+    /// Gang invalidation of all speculative lines (write set and
+    /// spec-received), as on transaction abort. Visits only logged lines;
+    /// the order-preserving `Vec::remove` keeps each set's surviving way
+    /// order, which checkpoints and commitments record.
     pub fn drop_speculative(&mut self) {
-        for set in &mut self.entries {
-            set.retain(|e| !e.sm && !e.spec_received);
+        let sets = self.sets;
+        for addr in self.spec_log.drain(..) {
+            let lines = &mut self.entries[addr.set_index(sets)];
+            if let Some(i) = lines.iter().position(|e| e.addr == addr) {
+                if lines[i].is_speculative() {
+                    lines.remove(i);
+                }
+            }
         }
     }
 
     /// Clears the SM and spec-received bits of every line (transaction
     /// commit): speculative data becomes the committed, `Modified` version.
+    /// Visits only logged lines.
     pub fn commit_speculative(&mut self) {
-        for set in &mut self.entries {
-            for e in set.iter_mut() {
-                if e.sm || e.spec_received {
+        let sets = self.sets;
+        for addr in self.spec_log.drain(..) {
+            let lines = &mut self.entries[addr.set_index(sets)];
+            if let Some(e) = lines.iter_mut().find(|e| e.addr == addr) {
+                if e.is_speculative() {
                     e.sm = false;
                     e.spec_received = false;
                     e.state = CoherenceState::Modified;
                 }
             }
         }
+    }
+
+    /// Lines the running transaction wrote itself (SM and not
+    /// spec-received), found through the log; a line may repeat.
+    pub fn written_lines(&self) -> impl Iterator<Item = LineAddr> + '_ {
+        self.spec_log.iter().copied().filter(|&addr| {
+            self.entries[self.set_of(addr)]
+                .iter()
+                .any(|e| e.addr == addr && e.sm && !e.spec_received)
+        })
     }
 
     /// Iterates over all resident lines.
@@ -315,10 +403,11 @@ impl chats_snap::Snap for CacheEntry {
 }
 
 // Entries are saved in stored (set, way) order, not sorted: way order
-// inside a set is deterministic machine state (`gang_invalidate_speculative`
-// reports dropped lines in way order), so it must survive a round-trip
-// exactly. The `lru` stamps and `lru_clock` travel verbatim for the same
-// reason.
+// inside a set is deterministic machine state (`iter` walks it, and
+// victims tie-break on it), so it must survive a round-trip exactly. The
+// `lru` stamps and `lru_clock` travel verbatim for the same reason. The
+// speculative-line log is derived from the bits and rebuilt on load; it
+// relies on one entry per line, in the line's own set.
 impl chats_snap::Snap for Cache {
     fn save(&self, w: &mut chats_snap::SnapWriter) {
         w.u64(self.sets as u64);
@@ -336,11 +425,26 @@ impl chats_snap::Snap for Cache {
         if entries.len() != sets || entries.iter().any(|s| s.len() > ways) {
             return Err(r.err("cache entries do not fit the recorded geometry"));
         }
+        let mut spec_log = Vec::new();
+        for (set, lines) in entries.iter().enumerate() {
+            for (i, e) in lines.iter().enumerate() {
+                if e.addr.set_index(sets) != set {
+                    return Err(r.err(format!("line {} stored in set {set}", e.addr)));
+                }
+                if lines[..i].iter().any(|o| o.addr == e.addr) {
+                    return Err(r.err(format!("line {} held twice in set {set}", e.addr)));
+                }
+                if e.is_speculative() {
+                    spec_log.push(e.addr);
+                }
+            }
+        }
         Ok(Cache {
             sets,
             ways,
             entries,
             lru_clock: r.u64()?,
+            spec_log,
         })
     }
 }
@@ -398,7 +502,7 @@ mod tests {
     fn replacement_favours_write_set() {
         let mut c = cache();
         c.insert(LineAddr(0), CoherenceState::Modified, Line::zeroed());
-        c.lookup_mut(LineAddr(0)).unwrap().sm = true; // oldest, but in write set
+        c.lookup_mut(LineAddr(0)).unwrap().mark_written(); // oldest, but in write set
         c.insert(LineAddr(2), CoherenceState::Shared, Line::zeroed());
         let out = c.insert(LineAddr(4), CoherenceState::Shared, Line::zeroed());
         match out {
@@ -412,9 +516,9 @@ mod tests {
     fn full_sm_set_still_evicts_something() {
         let mut c = cache();
         c.insert(LineAddr(0), CoherenceState::Modified, Line::zeroed());
-        c.lookup_mut(LineAddr(0)).unwrap().sm = true;
+        c.lookup_mut(LineAddr(0)).unwrap().mark_written();
         c.insert(LineAddr(2), CoherenceState::Modified, Line::zeroed());
-        c.lookup_mut(LineAddr(2)).unwrap().sm = true;
+        c.lookup_mut(LineAddr(2)).unwrap().mark_written();
         let out = c.insert(LineAddr(4), CoherenceState::Shared, Line::zeroed());
         match out {
             EvictOutcome::Evicted(v) => assert!(v.sm, "victim had to be a write-set line"),
@@ -426,31 +530,86 @@ mod tests {
     fn gang_invalidation_drops_only_speculative() {
         let mut c = Cache::new(4, 2);
         c.insert(LineAddr(0), CoherenceState::Modified, Line::zeroed());
-        c.lookup_mut(LineAddr(0)).unwrap().sm = true;
+        c.lookup_mut(LineAddr(0)).unwrap().mark_written();
         c.insert(LineAddr(1), CoherenceState::Shared, Line::zeroed());
         c.insert(LineAddr(2), CoherenceState::Exclusive, Line::zeroed());
-        c.lookup_mut(LineAddr(2)).unwrap().spec_received = true;
-        let dropped = c.gang_invalidate_speculative();
-        assert_eq!(dropped.len(), 2);
-        assert!(dropped.contains(&LineAddr(0)));
-        assert!(dropped.contains(&LineAddr(2)));
+        c.lookup_mut(LineAddr(2)).unwrap().mark_spec_received();
+        c.drop_speculative();
+        assert!(c.lookup(LineAddr(0)).is_none());
+        assert!(c.lookup(LineAddr(2)).is_none());
         assert!(c.lookup(LineAddr(1)).is_some());
+        assert_eq!(c.len(), 1);
     }
 
     #[test]
     fn commit_clears_bits_and_marks_modified() {
         let mut c = cache();
         c.insert(LineAddr(0), CoherenceState::Exclusive, Line::splat(3));
-        {
-            let e = c.lookup_mut(LineAddr(0)).unwrap();
-            e.sm = true;
-            e.spec_received = true;
-        }
+        c.lookup_mut(LineAddr(0)).unwrap().mark_spec_received();
+        assert!(
+            c.written_lines().next().is_none(),
+            "spec-received is not a local write"
+        );
         c.commit_speculative();
         let e = c.lookup(LineAddr(0)).unwrap();
-        assert!(!e.sm && !e.spec_received);
+        assert!(!e.sm() && !e.spec_received());
         assert_eq!(e.state, CoherenceState::Modified);
         assert_eq!(e.data, Line::splat(3), "commit must not change data");
+    }
+
+    fn snapshot(c: &Cache) -> Vec<u8> {
+        let mut w = chats_snap::SnapWriter::new();
+        chats_snap::Snap::save(c, &mut w);
+        w.into_bytes()
+    }
+
+    fn restore(bytes: &[u8]) -> Result<Cache, chats_snap::SnapError> {
+        let mut r = chats_snap::SnapReader::new(bytes);
+        <Cache as chats_snap::Snap>::load(&mut r)
+    }
+
+    #[test]
+    fn load_rebuilds_the_log() {
+        let mut c = cache();
+        c.insert(LineAddr(0), CoherenceState::Exclusive, Line::zeroed());
+        c.insert(LineAddr(1), CoherenceState::Exclusive, Line::zeroed());
+        c.lookup_mut(LineAddr(1)).unwrap().mark_written();
+        let mut back = restore(&snapshot(&c)).unwrap();
+        assert_eq!(back.written_lines().collect::<Vec<_>>(), [LineAddr(1)]);
+        back.drop_speculative();
+        assert!(back.lookup(LineAddr(1)).is_none());
+        assert!(back.lookup(LineAddr(0)).is_some());
+    }
+
+    /// Hostile bytes: the log needs one entry per line, in the line's own
+    /// set, so `load` rejects a duplicate and a line in the wrong set.
+    #[test]
+    fn load_rejects_duplicate_and_misplaced_lines() {
+        // Two sets of two ways; lines 0 and 2 map to set 0, line 1 to set 1.
+        let mut c = cache();
+        c.insert(LineAddr(0), CoherenceState::Shared, Line::zeroed());
+        c.insert(LineAddr(2), CoherenceState::Shared, Line::zeroed());
+        let good = snapshot(&c);
+        assert!(restore(&good).is_ok());
+
+        // The sets and ways words, then 8-byte lengths of the set list and
+        // of set 0, then entries of addr (8) + state (1) + data (64) + sm
+        // (1) + spec (1) + lru (8).
+        let entry_len = 8 + 1 + 64 + 1 + 1 + 8;
+        let first_addr = 8 + 8 + 8 + 8;
+        let second_addr = first_addr + entry_len;
+        assert_eq!(good[first_addr..first_addr + 8], 0u64.to_le_bytes());
+        assert_eq!(good[second_addr..second_addr + 8], 2u64.to_le_bytes());
+
+        let mut dup = good.clone();
+        dup[second_addr..second_addr + 8].copy_from_slice(&0u64.to_le_bytes());
+        let err = restore(&dup).unwrap_err();
+        assert!(err.to_string().contains("held twice"), "{err}");
+
+        let mut misplaced = good.clone();
+        misplaced[second_addr..second_addr + 8].copy_from_slice(&1u64.to_le_bytes());
+        let err = restore(&misplaced).unwrap_err();
+        assert!(err.to_string().contains("stored in set 0"), "{err}");
     }
 
     #[test]

@@ -32,7 +32,7 @@ pub mod signature;
 pub mod store;
 
 pub use addr::{Addr, LineAddr, WORDS_PER_LINE};
-pub use cache::{Cache, CacheEntry, CoherenceState, EvictOutcome};
+pub use cache::{Cache, CacheEntry, CoherenceState, EntryMut, EvictOutcome};
 pub use fasthash::{FastHashMap, FastHashSet, FxBuildHasher, FxHasher};
 pub use line::Line;
 pub use signature::ReadSignature;

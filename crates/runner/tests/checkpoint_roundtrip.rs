@@ -110,6 +110,57 @@ fn round_trip_under_lossy_noc_is_byte_identical() {
     round_trip(&cfg, "lossy-noc");
 }
 
+/// `true` while some core's L1 holds SM or spec-received lines.
+fn holds_speculative_lines(m: &chats_machine::Machine) -> bool {
+    (0..m.config().core.cores).any(|c| m.l1(c).iter().any(|e| e.is_speculative()))
+}
+
+/// A snapshot taken mid-transaction carries SM and spec-received bits but
+/// not the L1's speculative-line log, which `restore` rebuilds from the
+/// bits. The restored run's commits and aborts must still clear and drop
+/// exactly those lines: same statistics and commitment chain as the run
+/// that never paused.
+#[test]
+fn round_trip_with_speculative_lines_in_flight() {
+    let cfg = RunConfig::quick_test();
+    let w = registry::by_name("cadd").expect("known workload");
+    let policy = PolicyConfig::for_system(HtmSystem::Chats);
+
+    let PreparedRun { mut machine, .. } = prepare_run(w.as_ref(), policy, &cfg);
+    machine.set_commit_interval(STRIDE);
+    let golden_stats = machine.run(cfg.max_cycles).expect("run completes");
+    let golden_chain = machine.commitment_chain().to_vec();
+
+    let PreparedRun { mut machine, .. } = prepare_run(w.as_ref(), policy, &cfg);
+    machine.set_commit_interval(STRIDE);
+    let mut pause = STRIDE;
+    let snapshot = loop {
+        match machine.run_to(pause, cfg.max_cycles).expect("run proceeds") {
+            RunProgress::Paused { at } if holds_speculative_lines(&machine) => {
+                pause = at + STRIDE;
+                break machine.checkpoint();
+            }
+            RunProgress::Paused { at } => pause = at + STRIDE,
+            RunProgress::Done(_) => panic!("no boundary found a transaction mid-flight"),
+        }
+    };
+    drop(machine);
+
+    let PreparedRun { mut machine, .. } = prepare_run(w.as_ref(), policy, &cfg);
+    machine.restore(&snapshot).expect("snapshot restores");
+    assert!(
+        holds_speculative_lines(&machine),
+        "the restored L1s must hold the snapshot's speculative lines"
+    );
+    let stats = finish(&mut machine, pause, cfg.max_cycles);
+    assert_eq!(stats, golden_stats, "final statistics must match");
+    assert_eq!(
+        machine.commitment_chain(),
+        &golden_chain[..],
+        "the commitment chain must not notice the interruption"
+    );
+}
+
 /// The commitment chain of one machine run, with or without a sink.
 fn chain_with_sink(cfg: &RunConfig, traced: bool) -> Vec<EpochCommitment> {
     let w = registry::by_name("cadd").expect("known workload");
