@@ -289,7 +289,7 @@ impl DissectReport {
         );
         m.insert(
             "system".to_string(),
-            Json::Str(format!("{:?}", self.request.policy.system)),
+            Json::Str(self.request.policy.system.name().to_string()),
         );
         m.insert("interval".to_string(), Json::U64(self.request.interval));
         for (key, side, status, epochs) in [

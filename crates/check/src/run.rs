@@ -3,7 +3,7 @@
 use crate::scenario::Scenario;
 use crate::schedule::{Recorder, Schedule};
 use chats_core::PolicyConfig;
-use chats_machine::{Machine, SimError, Tuning};
+use chats_machine::{Machine, Oracle, SimError, Tuning};
 use chats_mem::Addr;
 use chats_runner::hash::fnv1a_64;
 use chats_sim::{DecisionRecord, SystemConfig};
@@ -133,10 +133,8 @@ pub fn run_scenario(scenario: &Scenario, schedule: &Schedule) -> RunResult {
             let mut sys = SystemConfig::small_test();
             sys.core.cores = scenario.threads;
             let tuning = Tuning {
-                check_atomicity: true,
-                oracle_record: true,
+                oracle: Oracle::Record,
                 debug_skip_validation: scenario.skip_validation_bug,
-                ..Tuning::default()
             };
             let mut m = Machine::new(
                 sys,

@@ -2,7 +2,10 @@
 //!
 //! `fixtures/` holds a result-cache entry, a run manifest and a reproducer
 //! whose scenario carries a fault plan, each written by the 0.1.0 writers
-//! before the runner's JSON type became an alias of `serde::Value`. Every
+//! before the runner's JSON type became an alias of `serde::Value`. The
+//! cache entry was re-recorded when job-id format 2 replaced the `Debug`
+//! text of the configuration with explicit encoders; only its `canonical`
+//! and `job_id` moved, its `stats` bytes did not. Every
 //! file must parse and render back to the same bytes, and the typed
 //! loaders must still accept them, so caches and reproducers written
 //! before the switch stay valid without a `CACHE_VERSION` bump.

@@ -7,8 +7,7 @@
 use std::fmt;
 
 /// Why a transaction aborted.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
 pub enum AbortCause {
     /// A conflicting access resolved against this transaction
     /// (requester-wins victim, power-transaction priority, ...).

@@ -18,7 +18,6 @@ use std::fmt;
 
 /// An idealized transaction timestamp: smaller is older.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Timestamp(pub u64);
 
 impl fmt::Display for Timestamp {

@@ -32,8 +32,7 @@ pub const PIC_ENCODING_LIMIT: u8 = u8::MAX;
 /// assert!(Pic::unset().is_unset());
 /// assert!(Pic::new(0).decremented().is_none()); // underflow
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
 pub struct Pic(Option<u8>);
 
 impl Pic {
@@ -181,7 +180,6 @@ impl fmt::Display for Pic {
 /// the `Cons` bit, which records whether the transaction is currently
 /// consuming speculative data pending validation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PicContext {
     /// Position in chain.
     pub pic: Pic,

@@ -5,7 +5,6 @@ use std::fmt;
 /// Which transactional blocks are eligible for speculative forwarding
 /// (§VI-D "Blocks that can be forwarded").
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum ForwardSet {
     /// `R/W`: read- and write-set blocks may be forwarded.
     ReadWrite,
@@ -49,7 +48,6 @@ impl fmt::Display for ForwardSet {
 
 /// The HTM system under evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum HtmSystem {
     /// Intel-RTM-like best-effort baseline: requester-wins, lazy
     /// versioning, eager conflict detection.
@@ -143,7 +141,6 @@ impl std::str::FromStr for HtmSystem {
 
 /// Full per-system configuration: Table II of the paper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PolicyConfig {
     /// The system being run.
     pub system: HtmSystem,
@@ -171,7 +168,6 @@ pub struct PolicyConfig {
 /// Ablations of individual CHATS design choices, used by the ablation
 /// harness to quantify what each mechanism contributes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Ablation {
     /// Disable the Fig. 3F rule: a transaction whose consumptions are all
     /// validated may NOT raise its PiC past a higher requester; the
@@ -268,6 +264,38 @@ impl PolicyConfig {
     #[must_use]
     pub fn pic_range(&self) -> u8 {
         ((1u32 << self.pic_bits) - 1) as u8
+    }
+
+    /// Every field as `key=value`, comma-separated, in declaration order;
+    /// enums by [`HtmSystem::name`] and [`ForwardSet::label`]. Part of the
+    /// runner's job ids and the machine's checkpoint guard. The
+    /// destructuring names every field, so adding, removing or renaming
+    /// one does not compile until this encoding is edited.
+    #[must_use]
+    pub fn canonical(&self) -> String {
+        let PolicyConfig {
+            system,
+            forward_set,
+            retries,
+            vsb_size,
+            validation_interval,
+            power_threshold,
+            naive_counter_bits,
+            ablation:
+                Ablation {
+                    no_pic_overtake,
+                    single_link_chains,
+                },
+            pic_bits,
+        } = *self;
+        format!(
+            "system={},forward_set={},retries={retries},vsb_size={vsb_size},\
+             validation_interval={validation_interval},power_threshold={power_threshold},\
+             naive_counter_bits={naive_counter_bits},no_pic_overtake={no_pic_overtake},\
+             single_link_chains={single_link_chains},pic_bits={pic_bits}",
+            system.name(),
+            forward_set.label(),
+        )
     }
 }
 

@@ -35,7 +35,7 @@ use std::hash::Hasher;
 /// Checkpoint magic ("CHATSCKP" little-endian-ish constant).
 const MAGIC: u64 = 0x5043_4B43_5441_4843;
 /// Checkpoint format version; bump on any encoding change.
-const VERSION: u32 = 1;
+const VERSION: u32 = 2;
 
 /// Names of the environment (non-architectural) sections; they are written
 /// last, so the arch hash is the hash of the stream prefix before them.
@@ -282,7 +282,6 @@ impl Machine {
 
         w.mark("diag");
         self.violations.save(w);
-        self.watch_log.save(w);
 
         w.mark("env.faults");
         match &self.faults {
@@ -338,7 +337,6 @@ impl Machine {
         self.rng = Snap::load(r)?;
         self.stats = Snap::load(r)?;
         self.violations = Snap::load(r)?;
-        self.watch_log = Snap::load(r)?;
         match (r.u8()?, self.faults.as_mut()) {
             (0, None) => {}
             (1, Some(f)) => f.restore_state(r)?,
@@ -394,14 +392,17 @@ impl Machine {
     }
 
     /// Hash of the construction parameters (configuration, policy, tuning,
-    /// seed): a checkpoint only restores onto a machine with a matching
-    /// guard.
+    /// seed), each through its `canonical()` encoding: a checkpoint only
+    /// restores onto a machine with a matching guard.
     #[must_use]
     pub fn config_guard(&self) -> u64 {
         hash_bytes(
             format!(
-                "{:?}|{:?}|{:?}|{}",
-                self.cfg, self.policy, self.tuning, self.seed
+                "machine={}|policy={}|tuning={}|seed={}",
+                self.cfg.canonical(),
+                self.policy.canonical(),
+                self.tuning.canonical(),
+                self.seed
             )
             .as_bytes(),
         )

@@ -110,7 +110,7 @@ pub struct CoreState {
     /// Rrestrict/W heuristic: per static transaction, lines written by
     /// earlier attempts (predicted "in-flight writes").
     pub write_predictor: FastHashMap<usize, FastHashSet<LineAddr>>,
-    /// Atomicity oracle (enabled via `Tuning::check_atomicity`).
+    /// Atomicity oracle (enabled via `Tuning::oracle`).
     pub(crate) oracle: Oracle,
 }
 

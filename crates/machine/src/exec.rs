@@ -1,7 +1,7 @@
 //! Core execution: VM stepping, transaction lifecycle, commit and abort.
 
 use crate::core_state::{ExecMode, PendingMem, WaitReason};
-use crate::machine::Machine;
+use crate::machine::{Machine, Oracle};
 use crate::msg::{DirMsg, Event};
 use crate::trace::TraceEvent;
 use chats_core::{AbortCause, LevcArbiter, RetryVerdict};
@@ -9,13 +9,19 @@ use chats_mem::{Addr, CoherenceState, EvictOutcome, LineAddr};
 use chats_noc::MsgClass;
 use chats_tvm::VmEvent;
 
+/// Upper bound on core-local cycles executed per `CoreStep` event (bounds
+/// the timing skew of burst execution).
+const COMPUTE_SLICE_MAX: u64 = 256;
+/// Base of the randomized backoff applied between transaction retries.
+const BACKOFF_BASE: u64 = 16;
+
 impl Machine {
     /// Runs `core`'s VM until it blocks on memory, parks at a transaction
     /// boundary, exhausts its compute slice, or halts.
     pub(crate) fn core_step(&mut self, core: usize) {
         let mut acc: u64 = 0;
         loop {
-            if acc >= self.tuning.compute_slice_max {
+            if acc >= COMPUTE_SLICE_MAX {
                 let epoch = self.cores[core].epoch;
                 let at = self.clock + acc;
                 self.events.push(at, Event::CoreStep { core, epoch });
@@ -238,7 +244,7 @@ impl Machine {
             && self.cores[core].commit_defers < MAX_COMMIT_DEFERS
             && self.decide(chats_sim::DecisionKind::CommitRelease, Some(core), 2) == 1
         {
-            let at = self.clock + self.tuning.commit_validation_gap.max(1);
+            let at = self.clock + crate::validate::COMMIT_VALIDATION_GAP;
             let c = &mut self.cores[core];
             c.commit_defers += 1;
             let was_pending = c.commit_pending;
@@ -287,7 +293,7 @@ impl Machine {
                 .oracle
                 .check_commit(|a| committed_now[&a.0]);
             if let Err((a, observed, committed)) = verdict {
-                if self.tuning.oracle_record {
+                if self.tuning.oracle == Oracle::Record {
                     self.violations.push(crate::Violation::AtomicityAtCommit {
                         core,
                         addr: a,
@@ -298,9 +304,8 @@ impl Machine {
                 } else {
                     panic!(
                         "atomicity violated at commit on core {core}: word {a:#x} \
-                         was read as {observed} but the committed value is {committed}\n{}\nwatch log:\n{}",
+                         was read as {observed} but the committed value is {committed}\n{}",
                         self.describe_line(Addr(a).line()),
-                        self.watch_log().join("\n")
                     );
                 }
             }
@@ -449,10 +454,8 @@ impl Machine {
     /// attempt (capped), which is what keeps requester-wins out of
     /// livelock long enough to use its retry budget.
     fn backoff(&mut self, core: usize) -> u64 {
-        let window = self.cores[core]
-            .retry
-            .backoff_window(self.tuning.backoff_base);
-        self.tuning.backoff_base + self.rng.below(window)
+        let window = self.cores[core].retry.backoff_window(BACKOFF_BASE);
+        BACKOFF_BASE + self.rng.below(window)
     }
 
     /// Begins non-speculative execution under the global lock; every other

@@ -4,7 +4,7 @@
 //! decision state machine lives there (seeded, serializable, content-
 //! hashable), while the code here applies its decisions to the protocol —
 //! perturbing interconnect sends, injecting spurious HTM events at core
-//! steps, and watching per-core commit progress so injected hangs surface
+//! steps, and tracking per-core commit progress so injected hangs surface
 //! as a structured [`FailureReport`] instead of a silent timeout.
 //!
 //! Everything is gated on `Machine::faults` / `Machine::watchdog` being

@@ -17,37 +17,46 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::error::Error;
 use std::fmt;
 
-/// Machine-level tuning knobs not specified by Table I/II: backoff and
-/// stall pacing. These are identical across HTM systems so comparisons stay
-/// fair.
-#[derive(Debug, Clone, Copy)]
+/// What the atomicity oracle does with a run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Oracle {
+    /// No checking (the default).
+    #[default]
+    Off,
+    /// Every commit is checked against the §III-C serializability
+    /// criterion (each transactionally read word equals the committed
+    /// value at the commit instant); the first violation panics. Used by
+    /// the test suite.
+    Panic,
+    /// Instead of panicking on the first violation, accumulate
+    /// [`Violation`]s on the machine (see [`Machine::violations`]) and
+    /// keep running. Also arms the online opacity check: every
+    /// non-speculative-lineage transactional read is compared against the
+    /// committed value at the read instant, so aborted attempts that
+    /// observed inconsistent data are flagged even though they never reach
+    /// the commit check.
+    Record,
+}
+
+impl Oracle {
+    /// Name in [`Tuning::canonical`].
+    fn name(self) -> &'static str {
+        match self {
+            Oracle::Off => "off",
+            Oracle::Panic => "panic",
+            Oracle::Record => "record",
+        }
+    }
+}
+
+/// Machine settings outside Table I/II: the checking switches. The
+/// pacing the simulator needs beyond the paper's tables (retry backoff,
+/// stall and probe delays, compute slice) is fixed, and identical across
+/// HTM systems so comparisons stay fair.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct Tuning {
-    /// Base of the randomized linear backoff applied between transaction
-    /// retries (`backoff_base * attempts + rand(0..backoff_base * attempts)`).
-    pub backoff_base: u64,
-    /// Delay before re-issuing a nacked/stalled demand request.
-    pub stall_delay: u64,
-    /// Gap between successive validation probes while a commit is pending.
-    pub commit_validation_gap: u64,
-    /// Upper bound on core-local cycles executed per event (bounds the
-    /// timing skew of burst execution).
-    pub compute_slice_max: u64,
-    /// Enable the atomicity oracle: every commit is checked against the
-    /// §III-C serializability criterion (each transactionally read word
-    /// equals the committed value at the commit instant). Used by the test
-    /// suite; off by default.
-    pub check_atomicity: bool,
-    /// Oracle *record* mode: instead of panicking on the first violation,
-    /// accumulate [`Violation`]s on the machine (see
-    /// [`Machine::violations`]) and keep running. Also arms the online
-    /// opacity check: every non-speculative-lineage transactional read is
-    /// compared against the committed value at the read instant, so aborted
-    /// attempts that observed inconsistent data are flagged even though
-    /// they never reach the commit check. Requires `check_atomicity`.
-    pub oracle_record: bool,
-    /// Debug: log every protocol action touching this line (printed into
-    /// oracle-violation panics).
-    pub watch_line: Option<chats_mem::LineAddr>,
+    /// The atomicity oracle's mode.
+    pub oracle: Oracle,
     /// Planted-bug switch for the checking harness: skip the value
     /// comparison on validation responses, silently "validating" every
     /// speculated line. This breaks the protocol's §III-A guarantee on
@@ -58,23 +67,26 @@ pub struct Tuning {
     pub debug_skip_validation: bool,
 }
 
-impl Default for Tuning {
-    fn default() -> Tuning {
-        Tuning {
-            backoff_base: 16,
-            stall_delay: 24,
-            commit_validation_gap: 16,
-            compute_slice_max: 256,
-            check_atomicity: false,
-            oracle_record: false,
-            watch_line: None,
-            debug_skip_validation: false,
-        }
+impl Tuning {
+    /// Every field as `key=value`, comma-separated, in declaration order.
+    /// Part of the runner's job ids and the machine's checkpoint guard.
+    /// The destructuring names every field, so adding, removing or
+    /// renaming one does not compile until this encoding is edited.
+    #[must_use]
+    pub fn canonical(&self) -> String {
+        let Tuning {
+            oracle,
+            debug_skip_validation,
+        } = *self;
+        format!(
+            "oracle={},debug_skip_validation={debug_skip_validation}",
+            oracle.name()
+        )
     }
 }
 
 /// A serializability/opacity violation detected by the oracle in record
-/// mode ([`Tuning::oracle_record`]). Each violation is a protocol bug,
+/// mode ([`Oracle::Record`]). Each violation is a protocol bug,
 /// never a workload condition.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Violation {
@@ -219,7 +231,6 @@ pub struct Machine {
     pub(crate) stats: RunStats,
     pub(crate) halted: usize,
     pub(crate) trace: Trace,
-    pub(crate) watch_log: Vec<String>,
     pub(crate) hook: Option<DecisionHook>,
     pub(crate) decision_log: Vec<DecisionRecord>,
     pub(crate) violations: Vec<Violation>,
@@ -279,7 +290,7 @@ impl Machine {
                     policy.retries,
                     power_threshold,
                 );
-                if tuning.check_atomicity || tuning.oracle_record {
+                if tuning.oracle != Oracle::Off {
                     c.oracle.enable();
                 }
                 c
@@ -301,7 +312,6 @@ impl Machine {
             stats: RunStats::default(),
             halted: n,
             trace: Trace::default(),
-            watch_log: Vec::new(),
             hook: None,
             decision_log: Vec::new(),
             violations: Vec::new(),
@@ -361,7 +371,7 @@ impl Machine {
         &self.decision_log
     }
 
-    /// Violations recorded by the oracle ([`Tuning::oracle_record`]).
+    /// Violations recorded by the oracle ([`Oracle::Record`]).
     #[must_use]
     pub fn violations(&self) -> &[Violation] {
         &self.violations
@@ -446,7 +456,10 @@ impl Machine {
             return;
         }
         self.cores[core].oracle.note_read(addr, value);
-        if !self.tuning.oracle_record || spec_lineage || self.cores[core].oracle.wrote(addr.0) {
+        if self.tuning.oracle != Oracle::Record
+            || spec_lineage
+            || self.cores[core].oracle.wrote(addr.0)
+        {
             return;
         }
         if self.cores[core]
@@ -547,24 +560,6 @@ impl Machine {
     #[must_use]
     pub fn dropped_events(&self) -> u64 {
         self.trace.dropped()
-    }
-
-    /// `true` when `line` is under watch (guard before formatting).
-    pub(crate) fn watching(&self, line: chats_mem::LineAddr) -> bool {
-        self.tuning.watch_line == Some(line) && self.watch_log.len() < 10_000
-    }
-
-    /// Appends a pre-formatted watch-log entry.
-    pub(crate) fn watch_push(&mut self, msg: String) {
-        let at = self.clock;
-        self.watch_log.push(format!("[{at}] {msg}"));
-    }
-
-    /// The watch log accumulated for `Tuning::watch_line`.
-    #[doc(hidden)]
-    #[must_use]
-    pub fn watch_log(&self) -> &[String] {
-        &self.watch_log
     }
 
     /// Diagnostic description of one line's global state (directory view

@@ -13,7 +13,7 @@
 //! mismatch is a serializability violation that value validation failed to
 //! catch — a protocol bug, reported immediately.
 //!
-//! The oracle is enabled via [`crate::Tuning::check_atomicity`] and is used
+//! The oracle is enabled via [`crate::Tuning::oracle`] and is used
 //! throughout the test suite; it costs a hash-map per core when on and
 //! nothing when off.
 

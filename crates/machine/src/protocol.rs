@@ -10,6 +10,9 @@ use chats_core::AbortCause;
 use chats_mem::{CoherenceState, Line, LineAddr};
 use chats_noc::MsgClass;
 
+/// Delay before re-issuing a nacked or stalled demand request.
+const STALL_DELAY: u64 = 24;
+
 impl Machine {
     /// Entry point for all directory-bound messages.
     pub(crate) fn dir_recv(&mut self, msg: DirMsg) {
@@ -30,16 +33,6 @@ impl Machine {
 
     /// Services a request for a non-busy line.
     fn dir_process(&mut self, req: Request) {
-        if self.watching(req.line) {
-            let msg = format!(
-                "dir_process core{} getx={} epoch={} state={:?}",
-                req.core,
-                req.getx,
-                req.epoch,
-                self.dir.state_of(req.line)
-            );
-            self.watch_push(msg);
-        }
         let dir_latency = self.cfg.mem.dir_latency;
         // Classify the request against the current line state in one
         // borrow, without cloning the sharer list (`state_of` copies the
@@ -145,10 +138,6 @@ impl Machine {
 
     /// An owner probe concluded; settle directory state and unblock.
     fn dir_probe_done(&mut self, req: Request, outcome: ProbeOutcome) {
-        if self.watching(req.line) {
-            let msg = format!("probe_done req_core{} outcome={outcome:?}", req.core);
-            self.watch_push(msg);
-        }
         match outcome {
             ProbeOutcome::Shared { owner } => {
                 self.dir.line_mut(req.line).state = DirState::Shared(vec![owner, req.core]);
@@ -293,7 +282,7 @@ impl Machine {
                 if self.cores[core].val_req == Some(line) {
                     self.validation_nack(core);
                 } else if self.cores[core].pending_mem.is_some() {
-                    let d = self.tuning.stall_delay + self.rng.below(self.tuning.stall_delay);
+                    let d = STALL_DELAY + self.rng.below(STALL_DELAY);
                     let epoch = self.cores[core].epoch;
                     self.events
                         .push(self.clock + d, Event::MemRetry { core, epoch });
@@ -304,18 +293,6 @@ impl Machine {
 
     /// Directory-forwarded request arriving at this core as owner.
     fn core_probe(&mut self, core: usize, req: Request) {
-        if self.watching(req.line) {
-            let c = &self.cores[core];
-            let msg = format!(
-                "probe at core{core} from core{} getx={} in_ws={:?} in_rs={} mode={:?}",
-                req.core,
-                req.getx,
-                c.l1.lookup(req.line).map(|e| e.sm()),
-                c.read_sig.contains(req.line),
-                c.mode
-            );
-            self.watch_push(msg);
-        }
         let (has_copy, in_ws) = {
             let c = &self.cores[core];
             match c.l1.lookup(req.line) {
@@ -476,16 +453,6 @@ impl Machine {
     /// Invalidation of a shared copy; conflicts resolve requester-wins
     /// unless the sharer holds the power token.
     fn core_inv(&mut self, core: usize, req: Request) {
-        if self.watching(req.line) {
-            let c = &self.cores[core];
-            let msg = format!(
-                "inv at core{core} for core{} in_rs={} mode={:?}",
-                req.core,
-                c.read_sig.contains(req.line),
-                c.mode
-            );
-            self.watch_push(msg);
-        }
         let conflicting = self.cores[core].in_tx() && self.cores[core].read_sig.contains(req.line);
         let mut refused = false;
         if conflicting {
@@ -520,10 +487,6 @@ impl Machine {
 
     /// Completion of a demand miss.
     fn demand_data(&mut self, core: usize, line: LineAddr, data: Line, excl: bool) {
-        if self.watching(line) {
-            let msg = format!("demand_data core{core} excl={excl} data={data:?}");
-            self.watch_push(msg);
-        }
         let pm = match self.cores[core].pending_mem.take() {
             Some(pm) if pm.line == line => pm,
             other => {
@@ -596,10 +559,6 @@ impl Machine {
         data: Line,
         pic: Option<chats_core::Pic>,
     ) {
-        if self.watching(line) {
-            let msg = format!("demand_spec core{core} pic={pic:?} data={data:?}");
-            self.watch_push(msg);
-        }
         use chats_core::{chats_receive_spec, HtmSystem, SpecRespAction};
         if self.cores[core].mode != ExecMode::Tx {
             return; // non-transactional requesters never consume hints
@@ -648,7 +607,7 @@ impl Machine {
             });
         } else if !self.cores[core].vsb.contains(line) {
             self.stats.nacks += 1;
-            let d = self.tuning.stall_delay;
+            let d = STALL_DELAY;
             let epoch = self.cores[core].epoch;
             self.events
                 .push(self.clock + d, Event::MemRetry { core, epoch });

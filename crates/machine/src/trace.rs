@@ -23,8 +23,7 @@ use chats_sim::Cycle;
 use std::fmt;
 
 /// One recorded protocol action.
-#[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub enum TraceEvent {
     /// A transaction attempt began.
     TxBegin {

@@ -7,6 +7,9 @@ use chats_core::{validation_pic_check, AbortCause, HtmSystem, Pic};
 use chats_mem::{Line, LineAddr};
 use chats_noc::MsgClass;
 
+/// Gap between successive validation probes while a commit is pending.
+pub(crate) const COMMIT_VALIDATION_GAP: u64 = 16;
+
 impl Machine {
     /// Arms the periodic validation timer if the system validates
     /// periodically and the timer is not already pending.
@@ -92,10 +95,6 @@ impl Machine {
     /// A validation probe came back with real data and ownership: compare
     /// against the pristine copy and, on a match, the line is validated.
     pub(crate) fn validation_data(&mut self, core: usize, line: LineAddr, data: Line) {
-        if self.watching(line) {
-            let msg = format!("validation_data core{core} data={data:?}");
-            self.watch_push(msg);
-        }
         self.cores[core].val_req = None;
         let pristine = self.cores[core]
             .vsb
@@ -137,10 +136,6 @@ impl Machine {
         data: Line,
         pic: Option<Pic>,
     ) {
-        if self.watching(line) {
-            let msg = format!("validation_spec core{core} data={data:?}");
-            self.watch_push(msg);
-        }
         self.cores[core].val_req = None;
         let pristine = self.cores[core]
             .vsb
@@ -190,7 +185,7 @@ impl Machine {
         }
         if self.cores[core].commit_pending {
             // Commit is blocked on the VSB: keep validating continuously.
-            let at = self.clock + self.pacing_delay(core, self.tuning.commit_validation_gap);
+            let at = self.clock + self.pacing_delay(core, COMMIT_VALIDATION_GAP);
             let epoch = self.cores[core].epoch;
             self.events.push(at, Event::ValidationTick { core, epoch });
             self.cores[core].val_timer_armed = true;

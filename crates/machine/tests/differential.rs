@@ -13,7 +13,7 @@
 //! the policies.
 
 use chats_core::{HtmSystem, PolicyConfig};
-use chats_machine::{Machine, Tuning};
+use chats_machine::{Machine, Oracle, Tuning};
 use chats_sim::SystemConfig;
 use chats_tvm::{gen, Vm};
 use std::collections::BTreeMap;
@@ -34,7 +34,7 @@ fn run_image(
     let mut sys = SystemConfig::small_test();
     sys.core.cores = threads;
     let tuning = Tuning {
-        check_atomicity: true,
+        oracle: Oracle::Panic,
         ..Tuning::default()
     };
     let mut m = Machine::new(sys, PolicyConfig::for_system(system), tuning, seed);

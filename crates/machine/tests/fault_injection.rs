@@ -4,7 +4,7 @@
 //! must surface as structured failure reports instead of raw timeouts.
 
 use chats_core::{HtmSystem, PolicyConfig};
-use chats_machine::{FaultPlan, Machine, SimError, TraceEvent, Tuning};
+use chats_machine::{FaultPlan, Machine, Oracle, SimError, TraceEvent, Tuning};
 use chats_mem::Addr;
 use chats_sim::SystemConfig;
 use chats_tvm::{ProgramBuilder, Reg, Vm};
@@ -59,7 +59,7 @@ fn build_machine(system: HtmSystem, seed: u64, oracle: bool) -> Machine {
     let mut sys = SystemConfig::small_test();
     sys.core.cores = THREADS;
     let tuning = Tuning {
-        check_atomicity: oracle,
+        oracle: if oracle { Oracle::Panic } else { Oracle::Off },
         ..Tuning::default()
     };
     let mut m = Machine::new(sys, PolicyConfig::for_system(system), tuning, seed);

@@ -4,14 +4,14 @@
 //! escaped validation panics the run.
 
 use chats_core::{HtmSystem, PolicyConfig};
-use chats_machine::{Machine, Tuning};
+use chats_machine::{Machine, Oracle, Tuning};
 use chats_mem::Addr;
 use chats_sim::SystemConfig;
 use chats_tvm::{ProgramBuilder, Reg, Vm};
 
 fn checked_tuning() -> Tuning {
     Tuning {
-        check_atomicity: true,
+        oracle: Oracle::Panic,
         ..Tuning::default()
     }
 }

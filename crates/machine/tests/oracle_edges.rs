@@ -7,7 +7,7 @@
 //! actually exercised.
 
 use chats_core::{AbortCause, HtmSystem, PolicyConfig};
-use chats_machine::{Machine, Tuning};
+use chats_machine::{Machine, Oracle, Tuning};
 use chats_mem::Addr;
 use chats_sim::SystemConfig;
 use chats_tvm::{ProgramBuilder, Reg, Vm};
@@ -49,8 +49,7 @@ fn run_pair(
     let mut sys = SystemConfig::small_test();
     sys.core.cores = 2;
     let tuning = Tuning {
-        check_atomicity: true,
-        oracle_record: true,
+        oracle: Oracle::Record,
         ..Tuning::default()
     };
     let mut m = Machine::new(sys, PolicyConfig::for_system(system), tuning, seed);

@@ -3,7 +3,7 @@
 //! always sum exactly.
 
 use chats_core::{HtmSystem, PolicyConfig};
-use chats_machine::{Machine, Tuning};
+use chats_machine::{Machine, Oracle, Tuning};
 use chats_mem::Addr;
 use chats_sim::SystemConfig;
 use chats_tvm::{gen, Vm};
@@ -14,7 +14,7 @@ fn run_case(system: HtmSystem, threads: usize, iters: u64, per_tx: u64, pool: u6
     let mut sys = SystemConfig::small_test();
     sys.core.cores = threads;
     let tuning = Tuning {
-        check_atomicity: true,
+        oracle: Oracle::Panic,
         ..Tuning::default()
     };
     let mut m = Machine::new(sys, PolicyConfig::for_system(system), tuning, seed);

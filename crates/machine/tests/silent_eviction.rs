@@ -4,7 +4,7 @@
 //! abort it, not commit around it.
 
 use chats_core::{AbortCause, HtmSystem, PolicyConfig};
-use chats_machine::{Machine, Tuning};
+use chats_machine::{Machine, Oracle, Tuning};
 use chats_mem::Addr;
 use chats_sim::SystemConfig;
 use chats_tvm::{ProgramBuilder, Reg, Vm};
@@ -50,7 +50,7 @@ fn run(system: HtmSystem) -> (chats_stats::RunStats, u64, u64) {
     let mut sys = SystemConfig::small_test(); // 16 sets, 4 ways
     sys.core.cores = 2;
     let tuning = Tuning {
-        check_atomicity: true, // the oracle is the real assertion here
+        oracle: Oracle::Panic, // the oracle is the real assertion here
         ..Tuning::default()
     };
     let mut m = Machine::new(sys, PolicyConfig::for_system(system), tuning, 5);

@@ -19,7 +19,6 @@ pub const WORDS_PER_LINE: u64 = 8;
 /// assert_eq!(a.offset_in_line(), 3);
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Addr(pub u64);
 
 impl Addr {
@@ -55,8 +54,9 @@ impl fmt::Display for Addr {
 }
 
 /// A cache-line address (word address divided by 8).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(
+    Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, serde::Serialize, serde::Deserialize,
+)]
 pub struct LineAddr(pub u64);
 
 impl LineAddr {

@@ -20,7 +20,6 @@ use std::fmt;
 /// assert_eq!(l.read(Addr(11)), 42); // offsets wrap within the line
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Line {
     words: [u64; WORDS_PER_LINE as usize],
 }

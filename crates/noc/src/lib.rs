@@ -29,7 +29,6 @@ use std::fmt;
 
 /// A network endpoint: core caches `0..n`, then the directory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct NodeId(pub usize);
 
 impl fmt::Display for NodeId {
@@ -40,7 +39,6 @@ impl fmt::Display for NodeId {
 
 /// Message size class, which determines the flit count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum MsgClass {
     /// Requests, acks, nacks, unblocks: 1 flit.
     Control,

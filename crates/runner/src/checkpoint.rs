@@ -19,9 +19,9 @@
 //! a fresh run, never a wrong result.
 
 use crate::job::JobSpec;
-use chats_machine::{EpochCommitment, RunProgress, SimError};
+use chats_machine::{EpochCommitment, RunProgress};
 use chats_stats::RunStats;
-use chats_workloads::{prepare_run, registry, PreparedRun, RunFailure};
+use chats_workloads::{finish_run, prepare_run, registry, PreparedRun, RunFailure};
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -111,9 +111,9 @@ pub fn execute_checkpointed(
     }
 
     let mut next_pause = resumed_from.unwrap_or(0) + ckpt.every;
-    let stats = loop {
+    let outcome = loop {
         match machine.run_to(next_pause, spec.config.max_cycles) {
-            Ok(RunProgress::Done(stats)) => break stats,
+            Ok(RunProgress::Done(stats)) => break Ok(stats),
             Ok(RunProgress::Paused { at }) => {
                 if let Err(e) = write_checkpoint(&machine.checkpoint(), &path) {
                     eprintln!(
@@ -123,44 +123,16 @@ pub fn execute_checkpointed(
                 }
                 next_pause = at + ckpt.every;
             }
-            Err(e) => {
-                let (message, stopped_at) = match &e {
-                    SimError::Timeout { at_cycle } => (
-                        format!(
-                            "{} under {:?}: timed out at cycle {at_cycle}",
-                            workload.name(),
-                            spec.policy.system
-                        ),
-                        *at_cycle,
-                    ),
-                    SimError::Deadlock { at_cycle, .. } => (
-                        format!("{} under {:?}: {e}", workload.name(), spec.policy.system),
-                        *at_cycle,
-                    ),
-                    SimError::WatchdogStall { report } => (
-                        format!("{} under {:?}: {e}", workload.name(), spec.policy.system),
-                        report.at_cycle,
-                    ),
-                };
-                let mut partial = machine.stats().clone();
-                partial.cycles = stopped_at;
-                return Err(RunFailure {
-                    message,
-                    partial: Some(Box::new(partial)),
-                    timed_out: matches!(e, SimError::Timeout { .. }),
-                });
-            }
+            Err(e) => break Err(e),
         }
     };
-    (checker)(&machine).map_err(|e| RunFailure {
-        message: format!(
-            "{} under {:?}: transactional semantics violated: {e}",
-            workload.name(),
-            spec.policy.system
-        ),
-        partial: Some(Box::new(stats.clone())),
-        timed_out: false,
-    })?;
+    let stats = finish_run(
+        workload.name(),
+        spec.policy.system,
+        &machine,
+        &checker,
+        outcome,
+    )?;
     // The job is complete: the result cache takes over from here, so the
     // in-flight sidecar is no longer progress worth keeping.
     let _ = fs::remove_file(&path);
@@ -294,6 +266,33 @@ mod tests {
             meta.chain, golden_meta.chain,
             "the commitment chain must not notice the interruption"
         );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_timeout_reads_the_same_on_both_paths() {
+        let mut spec = spec();
+        spec.config.max_cycles = 1_000;
+        let plain = spec.execute_partial().unwrap_err();
+        let dir = tmp_dir("timeout");
+        let ckpt = CheckpointConfig {
+            every: 256,
+            resume: false,
+            dir: dir.clone(),
+        };
+        let checkpointed = execute_checkpointed(&spec, &ckpt).unwrap_err();
+        assert!(plain.timed_out && checkpointed.timed_out);
+        assert!(
+            plain
+                .message
+                .starts_with("cadd under chats: timed out at cycle "),
+            "{}",
+            plain.message
+        );
+        assert_eq!(checkpointed.message, plain.message);
+        let cycles = |f: &RunFailure| f.partial.as_ref().map(|s| s.cycles);
+        assert!(cycles(&plain).is_some_and(|c| c >= 1_000));
+        assert_eq!(cycles(&checkpointed), cycles(&plain));
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -16,7 +16,7 @@ use std::fmt;
 
 /// Bumped whenever the canonical encoding changes, so stale cache
 /// entries from an older encoding can never alias a new job.
-pub const FORMAT_VERSION: u32 = 1;
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Content-hash identity of a job. Formats as 16 lowercase hex digits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -51,23 +51,23 @@ impl JobSpec {
 
     /// The canonical configuration string hashed into the job id and
     /// stored verbatim in cache entries for collision rejection. Every
-    /// field that can change the simulation's outcome is included.
+    /// field that can change the simulation's outcome is included, the
+    /// policy, machine and tuning through their own `canonical()`
+    /// encoders.
     #[must_use]
     pub fn canonical(&self) -> String {
         let mut canon = format!(
-            "fmt={}|wl={}|policy={:?}|system={:?}|tuning={:?}|threads={}|seed={}|max_cycles={}",
-            FORMAT_VERSION,
+            "fmt={FORMAT_VERSION}|wl={}|policy={}|machine={}|tuning={}|threads={}|seed={}|max_cycles={}",
             self.workload,
-            self.policy,
-            self.config.system,
-            self.config.tuning,
+            self.policy.canonical(),
+            self.config.system.canonical(),
+            self.config.tuning.canonical(),
             self.config.threads,
             self.config.seed,
             self.config.max_cycles,
         );
-        // Appended only when a plan is present, so every fault-free job
-        // keeps the id (and cache entry) it had before fault injection
-        // existed.
+        // Appended only when a plan is present, so a fault-free job's
+        // encoding does not mention faults at all.
         if let Some(plan) = &self.config.faults {
             canon.push_str(&format!("|faults={:016x}", plan.hash()));
         }
@@ -344,12 +344,83 @@ mod tests {
     }
 
     #[test]
+    fn canonical_of_the_paper_machine_is_pinned() {
+        let job = JobSpec::new(
+            "cadd",
+            PolicyConfig::for_system(HtmSystem::Chats),
+            RunConfig::paper(),
+        );
+        assert_eq!(
+            job.canonical(),
+            "fmt=2|wl=cadd\
+             |policy=system=chats,forward_set=Rrestrict/W,retries=32,vsb_size=4,\
+             validation_interval=50,power_threshold=2,naive_counter_bits=4,\
+             no_pic_overtake=false,single_link_chains=false,pic_bits=5\
+             |machine=cores=16,cycles_per_op=1,l1_sets=64,l1_ways=12,l1_hit_latency=1,\
+             dir_latency=30,mem_latency=100,link_latency=1,control_flits=1,data_flits=5\
+             |tuning=oracle=off,debug_skip_validation=false\
+             |threads=16|seed=805493|max_cycles=2000000000"
+        );
+    }
+
+    #[test]
+    fn every_configuration_field_moves_the_id_and_the_guard() {
+        use chats_core::ForwardSet;
+        use chats_machine::{Machine, Oracle};
+        let guard = |j: &JobSpec| {
+            Machine::new(j.config.system, j.policy, j.config.tuning, j.config.seed).config_guard()
+        };
+        type Edit = fn(&mut JobSpec);
+        let perturb: [(&str, Edit); 22] = [
+            ("system", |j| j.policy.system = HtmSystem::Power),
+            ("forward_set", |j| {
+                j.policy.forward_set = ForwardSet::WriteOnly
+            }),
+            ("retries", |j| j.policy.retries += 1),
+            ("vsb_size", |j| j.policy.vsb_size += 1),
+            ("validation_interval", |j| j.policy.validation_interval += 1),
+            ("power_threshold", |j| j.policy.power_threshold += 1),
+            ("naive_counter_bits", |j| j.policy.naive_counter_bits += 1),
+            ("pic_bits", |j| j.policy.pic_bits += 1),
+            ("no_pic_overtake", |j| {
+                j.policy.ablation.no_pic_overtake ^= true
+            }),
+            ("single_link_chains", |j| {
+                j.policy.ablation.single_link_chains ^= true;
+            }),
+            ("cores", |j| j.config.system.core.cores += 1),
+            ("cycles_per_op", |j| j.config.system.core.cycles_per_op += 1),
+            ("l1_sets", |j| j.config.system.mem.l1_sets *= 2),
+            ("l1_ways", |j| j.config.system.mem.l1_ways += 1),
+            ("l1_hit_latency", |j| {
+                j.config.system.mem.l1_hit_latency += 1
+            }),
+            ("dir_latency", |j| j.config.system.mem.dir_latency += 1),
+            ("mem_latency", |j| j.config.system.mem.mem_latency += 1),
+            ("link_latency", |j| j.config.system.noc.link_latency += 1),
+            ("control_flits", |j| j.config.system.noc.control_flits += 1),
+            ("data_flits", |j| j.config.system.noc.data_flits += 1),
+            ("oracle", |j| j.config.tuning.oracle = Oracle::Record),
+            ("debug_skip_validation", |j| {
+                j.config.tuning.debug_skip_validation ^= true;
+            }),
+        ];
+        let base = spec("cadd", HtmSystem::Chats);
+        for (field, edit) in perturb {
+            let mut job = base.clone();
+            edit(&mut job);
+            assert_ne!(job.id(), base.id(), "{field} does not move the job id");
+            assert_ne!(guard(&job), guard(&base), "{field} does not move the guard");
+        }
+    }
+
+    #[test]
     fn fault_plan_joins_the_id_without_disturbing_plain_jobs() {
         use chats_workloads::FaultPlan;
         let base = spec("cadd", HtmSystem::Chats);
         assert!(
             !base.canonical().contains("faults"),
-            "fault-free jobs must keep their pre-fault-injection identity"
+            "a fault-free job's encoding names no fault plan"
         );
         let mut faulted = base.clone();
         faulted.config.faults = Some(FaultPlan::lossy_noc());
@@ -388,7 +459,7 @@ mod tests {
         let plain = spec("cadd", HtmSystem::Chats);
         assert!(
             !plain.canonical().contains("wlspec"),
-            "spec-less workloads must keep their pre-evm identity"
+            "a spec-less workload's encoding names no scenario spec"
         );
         let evm = spec("evm-token-storm", HtmSystem::Chats);
         let canon = evm.canonical();

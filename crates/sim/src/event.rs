@@ -28,8 +28,9 @@ use std::ops::{Add, AddAssign, Sub};
 /// assert_eq!(start + 30, Cycle(130));
 /// assert_eq!((Cycle(130) - start), 30);
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(
+    Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, serde::Serialize, serde::Deserialize,
+)]
 pub struct Cycle(pub u64);
 
 impl Cycle {

@@ -5,7 +5,6 @@ use std::collections::BTreeMap;
 
 /// Commit/abort split for a class of transactions (Figure 6 bars).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TxOutcomeCounts {
     /// Transactions in this class that eventually committed.
     pub committed: u64,
@@ -35,7 +34,6 @@ impl TxOutcomeCounts {
 /// assert_eq!(s.total_aborts(), 2);
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RunStats {
     /// Total simulated cycles until every thread halted.
     pub cycles: u64,

@@ -49,6 +49,7 @@ pub use replay::{ThreadTrace, TraceOp, TraceWorkload};
 // `chats-machine` (or `chats-faults`) dependency.
 pub use chats_machine::FaultPlan;
 pub use spec::{
-    prepare_run, run_workload, run_workload_partial, run_workload_traced, Checker, MemRegion,
-    PreparedRun, RunConfig, RunFailure, RunOutput, ThreadProgram, Workload, WorkloadSetup,
+    finish_run, prepare_run, run_workload, run_workload_partial, run_workload_traced, Checker,
+    MemRegion, PreparedRun, RunConfig, RunFailure, RunOutput, ThreadProgram, Workload,
+    WorkloadSetup,
 };

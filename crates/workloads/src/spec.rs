@@ -1,7 +1,7 @@
 //! The workload abstraction and the standard runner.
 
-use chats_core::PolicyConfig;
-use chats_machine::{FaultPlan, Machine, SimError, TraceSink, Tuning};
+use chats_core::{HtmSystem, PolicyConfig};
+use chats_machine::{FaultPlan, Machine, Oracle, SimError, TraceSink, Tuning};
 use chats_mem::Addr;
 use chats_sim::{SimRng, SystemConfig};
 use chats_stats::RunStats;
@@ -133,7 +133,7 @@ impl RunConfig {
             threads: system.core.cores,
             system,
             tuning: Tuning {
-                check_atomicity: true,
+                oracle: Oracle::Panic,
                 ..Tuning::default()
             },
             seed: 0xC4A75,
@@ -291,6 +291,48 @@ pub fn prepare_run(workload: &dyn Workload, policy: PolicyConfig, cfg: &RunConfi
     }
 }
 
+/// Turns how a run of `workload` under `system` ended into its result:
+/// a simulation error becomes a [`RunFailure`] carrying the machine's
+/// statistics so far (`cycles` set to where it stopped), and a finished
+/// run must still pass `checker`. Plain and checkpointed execution both
+/// end here, so a failure reads the same whichever path ran the job.
+///
+/// # Errors
+///
+/// Returns a [`RunFailure`] on simulation timeout/deadlock/watchdog stall
+/// or invariant violation.
+pub fn finish_run(
+    workload: &str,
+    system: HtmSystem,
+    m: &Machine,
+    checker: &Checker,
+    outcome: Result<RunStats, SimError>,
+) -> Result<RunStats, RunFailure> {
+    let who = format!("{workload} under {}", system.name());
+    let stats = outcome.map_err(|e| {
+        let (message, stopped_at) = match &e {
+            SimError::Timeout { at_cycle } => {
+                (format!("{who}: timed out at cycle {at_cycle}"), *at_cycle)
+            }
+            SimError::Deadlock { at_cycle, .. } => (format!("{who}: {e}"), *at_cycle),
+            SimError::WatchdogStall { report } => (format!("{who}: {e}"), report.at_cycle),
+        };
+        let mut partial = m.stats().clone();
+        partial.cycles = stopped_at;
+        RunFailure {
+            message,
+            partial: Some(Box::new(partial)),
+            timed_out: matches!(e, SimError::Timeout { .. }),
+        }
+    })?;
+    checker(m).map_err(|e| RunFailure {
+        message: format!("{who}: transactional semantics violated: {e}"),
+        partial: Some(Box::new(stats.clone())),
+        timed_out: false,
+    })?;
+    Ok(stats)
+}
+
 fn run_machine(
     workload: &dyn Workload,
     policy: PolicyConfig,
@@ -304,45 +346,8 @@ fn run_machine(
     if let Some(sink) = sink {
         m.set_trace_sink(sink);
     }
-    let stats = match m.run(cfg.max_cycles) {
-        Ok(s) => s,
-        Err(e) => {
-            let (message, stopped_at) = match &e {
-                SimError::Timeout { at_cycle } => (
-                    format!(
-                        "{} under {:?}: timed out at cycle {at_cycle}",
-                        workload.name(),
-                        policy.system
-                    ),
-                    *at_cycle,
-                ),
-                SimError::Deadlock { at_cycle, .. } => (
-                    format!("{} under {:?}: {e}", workload.name(), policy.system),
-                    *at_cycle,
-                ),
-                SimError::WatchdogStall { report } => (
-                    format!("{} under {:?}: {e}", workload.name(), policy.system),
-                    report.at_cycle,
-                ),
-            };
-            let mut partial = m.stats().clone();
-            partial.cycles = stopped_at;
-            return Err(RunFailure {
-                message,
-                partial: Some(Box::new(partial)),
-                timed_out: matches!(e, SimError::Timeout { .. }),
-            });
-        }
-    };
-    (checker)(&m).map_err(|e| RunFailure {
-        message: format!(
-            "{} under {:?}: transactional semantics violated: {e}",
-            workload.name(),
-            policy.system
-        ),
-        partial: Some(Box::new(stats.clone())),
-        timed_out: false,
-    })?;
+    let outcome = m.run(cfg.max_cycles);
+    let stats = finish_run(workload.name(), policy.system, &m, &checker, outcome)?;
     let sink = m.take_trace_sink();
     Ok((RunOutput { stats }, sink))
 }
