@@ -176,12 +176,9 @@ pub fn run_scenario(scenario: &Scenario, schedule: &Schedule) -> RunResult {
                 .iter()
                 .map(ToString::to_string)
                 .collect();
-            let sum: u64 = kernel
-                .counters
-                .iter()
-                .map(|&a| machine.inspect_word(Addr(a)))
-                .sum();
-            let digest = image_digest(&machine.memory_image());
+            let mem = machine.memory_view();
+            let sum: u64 = kernel.counters.iter().map(|&a| mem.read(Addr(a))).sum();
+            let digest = image_digest(&mem.image());
             let (outcome, detail) = match run {
                 Err(SimError::Timeout { at_cycle }) => (
                     Outcome::Inconclusive(format!("cycle budget exhausted at {at_cycle}")),

@@ -139,43 +139,61 @@ impl<S: Storage> Machine<S> {
         args: &[u64],
         gas_limit: u64,
     ) -> Result<CallOutcome, ExecutionError> {
-        let mut gas = GasMeter {
-            used: 0,
-            limit: gas_limit,
+        let mut call = Call {
+            bank: &self.bank,
+            layout: &self.layout,
+            schedule: &self.schedule,
+            storage: &mut self.storage,
+            caller,
+            gas: GasMeter {
+                used: 0,
+                limit: gas_limit,
+            },
         };
-        let ret = self.run_frame(caller, contract, func, args, 1, &mut gas)?;
+        let ret = call.run_frame(contract, func, args, 1)?;
         Ok(CallOutcome {
             ret,
-            gas_used: gas.used,
+            gas_used: call.gas.used,
         })
     }
+}
 
+/// One top-level call in progress. The machine is split into the code it
+/// runs and the storage it writes, so every frame executes its function
+/// body in place, borrowed from the bank.
+struct Call<'m, S: Storage> {
+    bank: &'m ContractBank,
+    layout: &'m StateLayout,
+    schedule: &'m GasSchedule,
+    storage: &'m mut S,
+    caller: u64,
+    gas: GasMeter,
+}
+
+impl<S: Storage> Call<'_, S> {
     fn run_frame(
         &mut self,
-        caller: u64,
         contract: ContractId,
         func: u8,
         args: &[u64],
         depth: usize,
-        gas: &mut GasMeter,
     ) -> Result<u64, ExecutionError> {
         if depth > MAX_CALL_DEPTH {
             return Err(ExecutionError::CallDepth);
         }
-        gas.charge(self.schedule.call)?;
-        let f = self
-            .bank
+        self.gas.charge(self.schedule.call)?;
+        let bank = self.bank;
+        let f = bank
             .function(contract, func)
             .ok_or(ExecutionError::UnknownFunction(contract, func))?;
         if args.len() != f.arity as usize {
             return Err(ExecutionError::BadArg(f.arity));
         }
-        let ops = f.ops.clone();
         let mut stack: Vec<u64> = Vec::with_capacity(MAX_STACK);
         let mut mem = SeqMemory::new();
-        for op in &ops {
+        for op in &f.ops {
             if !matches!(op, Op::Call(..)) {
-                gas.charge(self.schedule.cost(op))?;
+                self.gas.charge(self.schedule.cost(op))?;
             }
             match *op {
                 Op::Push(v) => push(&mut stack, v)?,
@@ -207,7 +225,7 @@ impl<S: Storage> Machine<S> {
                     let a = pop(&mut stack)?;
                     push(&mut stack, a & m)?;
                 }
-                Op::Caller => push(&mut stack, caller)?,
+                Op::Caller => push(&mut stack, self.caller)?,
                 Op::Arg(i) => {
                     let v = *args.get(i as usize).ok_or(ExecutionError::BadArg(i))?;
                     push(&mut stack, v)?;
@@ -232,8 +250,7 @@ impl<S: Storage> Machine<S> {
                         .sstore(self.layout.slot_addr(contract, key), value);
                 }
                 Op::Call(callee, cf) => {
-                    let arity = self
-                        .bank
+                    let arity = bank
                         .function(callee, cf)
                         .ok_or(ExecutionError::UnknownFunction(callee, cf))?
                         .arity as usize;
@@ -241,7 +258,7 @@ impl<S: Storage> Machine<S> {
                         return Err(ExecutionError::StackUnderflow);
                     }
                     let call_args = stack.split_off(stack.len() - arity);
-                    let ret = self.run_frame(caller, callee, cf, &call_args, depth + 1, gas)?;
+                    let ret = self.run_frame(callee, cf, &call_args, depth + 1)?;
                     push(&mut stack, ret)?;
                 }
                 Op::Stop => return Ok(stack.last().copied().unwrap_or(0)),

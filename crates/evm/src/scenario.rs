@@ -421,7 +421,7 @@ pub fn build(kind: ScenarioKind, threads: usize, txs_per_thread: u64, seed: u64)
     let stride_lines = txs_per_thread.div_ceil(WORDS_PER_LINE);
     let table_end = table_base_line + threads as u64 * stride_lines;
     assert!(
-        table_end <= 1 << 15,
+        table_end <= chats_mem::DENSE_LINES as u64,
         "scenario footprint {table_end} lines leaves the dense store fast path"
     );
 

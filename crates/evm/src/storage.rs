@@ -2,8 +2,9 @@
 //!
 //! Two things live here. [`Storage`] is the sputnikvm-style persistence
 //! interface the [`Machine`](crate::Machine) writes through, with
-//! [`ImageStorage`] as the reference word-map implementation.
-//! [`StateLayout`] is the shared address map: it places native account
+//! [`ImageStorage`] as the reference implementation: a dense word array
+//! over the simulator's direct-mapped line span, with a sorted map above
+//! it. [`StateLayout`] is the shared address map: it places native account
 //! balances and per-contract storage slots onto the simulator's
 //! word-addressed cache lines, **one hot word per line**, so that a hot
 //! balance or a hot reserve is a hot cache line. The sequential
@@ -12,7 +13,8 @@
 //! their final states possible.
 
 use crate::contract::ContractId;
-use chats_mem::{Addr, WORDS_PER_LINE};
+use chats_mem::{Addr, DENSE_LINES, WORDS_PER_LINE};
+use std::collections::BTreeMap;
 
 /// Persistent word storage, keyed by simulated word address.
 pub trait Storage {
@@ -22,10 +24,24 @@ pub trait Storage {
     fn sstore(&mut self, addr: Addr, value: u64);
 }
 
-/// The reference storage: a sorted word map, dumpable as a memory image.
+/// Words in the dense span: every word of the first [`DENSE_LINES`] lines.
+const DENSE_WORDS: u64 = DENSE_LINES as u64 * WORDS_PER_LINE;
+
+/// The reference storage, dumpable as a memory image.
+///
+/// Words of the first [`DENSE_LINES`] lines — where every scenario keeps
+/// its state — live in a flat array indexed by word address, grown to the
+/// highest word written, with one bit per word recording that it was
+/// written (an explicitly stored zero is part of the image). Words above
+/// spill into a sorted map, so every 64-bit address still works.
 #[derive(Debug, Clone, Default)]
 pub struct ImageStorage {
-    words: std::collections::BTreeMap<u64, u64>,
+    /// Words `0..dense.len()`.
+    dense: Vec<u64>,
+    /// One bit per `dense` word: has it ever been written?
+    written: Vec<u64>,
+    /// Every written word at or above [`DENSE_WORDS`].
+    spill: BTreeMap<u64, u64>,
 }
 
 impl ImageStorage {
@@ -47,17 +63,42 @@ impl ImageStorage {
 
     /// Every written word, in address order.
     pub fn image(&self) -> impl Iterator<Item = (Addr, u64)> + '_ {
-        self.words.iter().map(|(&a, &v)| (Addr(a), v))
+        let words = &self.dense;
+        let dense = self.written.iter().enumerate().flat_map(move |(i, &bits)| {
+            let mut rest = bits;
+            std::iter::from_fn(move || {
+                (rest != 0).then(|| {
+                    let w = i * 64 + rest.trailing_zeros() as usize;
+                    rest &= rest - 1;
+                    (Addr(w as u64), words[w])
+                })
+            })
+        });
+        dense.chain(self.spill.iter().map(|(&a, &v)| (Addr(a), v)))
     }
 }
 
 impl Storage for ImageStorage {
     fn sload(&self, addr: Addr) -> u64 {
-        self.words.get(&addr.0).copied().unwrap_or(0)
+        if addr.0 < DENSE_WORDS {
+            self.dense.get(addr.0 as usize).copied().unwrap_or(0)
+        } else {
+            self.spill.get(&addr.0).copied().unwrap_or(0)
+        }
     }
 
     fn sstore(&mut self, addr: Addr, value: u64) {
-        self.words.insert(addr.0, value);
+        if addr.0 < DENSE_WORDS {
+            let w = addr.0 as usize;
+            if w >= self.dense.len() {
+                self.dense.resize(w + 1, 0);
+                self.written.resize(w / 64 + 1, 0);
+            }
+            self.dense[w] = value;
+            self.written[w / 64] |= 1 << (w % 64);
+        } else {
+            self.spill.insert(addr.0, value);
+        }
     }
 }
 

@@ -7,7 +7,7 @@
 
 use crate::msg::Request;
 use chats_core::fasthash::{FastHashMap, FastHashSet};
-use chats_mem::{BackingStore, Line, LineAddr};
+use chats_mem::{BackingStore, Line, LineAddr, DENSE_LINES};
 use chats_snap::{Snap, SnapError, SnapReader, SnapWriter};
 use std::collections::VecDeque;
 
@@ -53,31 +53,27 @@ impl DirLine {
     }
 }
 
-/// Direct-mapped span of the per-line directory state. Every registry
-/// workload's footprint fits here; a `DirLine` for a hotter-than-that
-/// address space spills into the hash map.
-const DENSE_DIR_LINES: usize = 1 << 15;
-
 /// The directory plus the inclusive backing store behind it.
 ///
 /// The per-line state for low line addresses lives in a direct-mapped
-/// `Vec<DirLine>` grown on first touch: `line_mut` — executed once per
-/// protocol message — is a bounds check and an index, no hashing. An
+/// `Vec<DirLine>` over the first [`DENSE_LINES`] lines, grown on first
+/// touch: `line_mut` — executed once per protocol message — is a bounds
+/// check and an index, no hashing. An
 /// untouched dense slot holds `DirState::Uncached`, which is exactly what
 /// the map-based lookup reported for an absent entry, so the two layouts
 /// are observationally identical.
 #[derive(Debug)]
 pub struct Directory {
-    /// Lines `0..DENSE_DIR_LINES`, grown lazily to the highest touched.
+    /// Lines `0..DENSE_LINES`, grown lazily to the highest touched.
     dense: Vec<DirLine>,
-    /// Lines at or above `DENSE_DIR_LINES`.
+    /// Lines at or above `DENSE_LINES`.
     spill: FastHashMap<LineAddr, DirLine>,
     /// Committed value of every line (the folded L2/L3/DRAM level).
     pub store: BackingStore,
     /// Warm bits for the dense span: one bit per line, set once the line
     /// has been accessed (LLC-warm); cold lines pay the memory latency.
     warm_bits: Vec<u64>,
-    /// Warm lines at or above `DENSE_DIR_LINES`.
+    /// Warm lines at or above `DENSE_LINES`.
     warm_spill: FastHashSet<LineAddr>,
 }
 
@@ -97,7 +93,7 @@ impl Directory {
     #[inline]
     pub fn line_mut(&mut self, addr: LineAddr) -> &mut DirLine {
         let idx = addr.index();
-        if (idx as usize) < DENSE_DIR_LINES {
+        if (idx as usize) < DENSE_LINES {
             let idx = idx as usize;
             if idx >= self.dense.len() {
                 self.dense.resize_with(idx + 1, DirLine::new);
@@ -112,7 +108,7 @@ impl Directory {
     #[inline]
     pub fn state_of(&self, addr: LineAddr) -> DirState {
         let idx = addr.index();
-        if (idx as usize) < DENSE_DIR_LINES {
+        if (idx as usize) < DENSE_LINES {
             match self.dense.get(idx as usize) {
                 Some(l) => l.state.clone(),
                 None => DirState::Uncached,
@@ -130,7 +126,7 @@ impl Directory {
     #[inline]
     pub fn touch(&mut self, addr: LineAddr) -> bool {
         let idx = addr.index();
-        if (idx as usize) < DENSE_DIR_LINES {
+        if (idx as usize) < DENSE_LINES {
             let (word, bit) = (idx as usize / 64, idx % 64);
             if word >= self.warm_bits.len() {
                 self.warm_bits.resize(word + 1, 0);
@@ -221,17 +217,14 @@ impl Directory {
     /// Fails on a malformed stream or spill keys inside the dense span.
     pub fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         let dense: Vec<DirLine> = Snap::load(r)?;
-        if dense.len() > DENSE_DIR_LINES {
+        if dense.len() > DENSE_LINES {
             return Err(r.err(format!(
-                "dense directory span {} exceeds the {DENSE_DIR_LINES}-line maximum",
+                "dense directory span {} exceeds the {DENSE_LINES}-line maximum",
                 dense.len()
             )));
         }
         let spill: FastHashMap<LineAddr, DirLine> = Snap::load(r)?;
-        if let Some(k) = spill
-            .keys()
-            .find(|a| (a.index() as usize) < DENSE_DIR_LINES)
-        {
+        if let Some(k) = spill.keys().find(|a| (a.index() as usize) < DENSE_LINES) {
             return Err(r.err(format!(
                 "spill directory line {k} belongs to the dense span"
             )));
@@ -241,7 +234,7 @@ impl Directory {
         let warm_spill: FastHashSet<LineAddr> = Snap::load(r)?;
         if let Some(k) = warm_spill
             .iter()
-            .find(|a| (a.index() as usize) < DENSE_DIR_LINES)
+            .find(|a| (a.index() as usize) < DENSE_LINES)
         {
             return Err(r.err(format!("spill warm bit {k} belongs to the dense span")));
         }
@@ -263,7 +256,7 @@ mod tests {
         let d = Directory::new();
         assert_eq!(d.state_of(LineAddr(9)), DirState::Uncached);
         assert_eq!(
-            d.state_of(LineAddr(DENSE_DIR_LINES as u64 + 9)),
+            d.state_of(LineAddr(DENSE_LINES as u64 + 9)),
             DirState::Uncached
         );
     }
@@ -288,8 +281,8 @@ mod tests {
     #[test]
     fn dense_and_spill_lines_are_independent() {
         let mut d = Directory::new();
-        let below = LineAddr(DENSE_DIR_LINES as u64 - 1);
-        let above = LineAddr(DENSE_DIR_LINES as u64);
+        let below = LineAddr(DENSE_LINES as u64 - 1);
+        let above = LineAddr(DENSE_LINES as u64);
         d.line_mut(below).state = DirState::Owned(1);
         d.line_mut(above).state = DirState::Shared(vec![0, 2]);
         assert_eq!(d.state_of(below), DirState::Owned(1));

@@ -69,7 +69,9 @@ pub use commit::{
 };
 pub use core_state::ExecMode;
 pub use faults::{CoreSnapshot, FailureReport};
-pub use machine::{DecisionHook, Machine, Oracle, RunProgress, SimError, Tuning, Violation};
+pub use machine::{
+    DecisionHook, Machine, MemoryView, Oracle, RunProgress, SimError, Tuning, Violation,
+};
 pub use trace::{RingSink, TraceEvent, TraceSink};
 
 // Re-exported so downstream crates (runner, checker, observability) can

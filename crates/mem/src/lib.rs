@@ -37,3 +37,11 @@ pub use fasthash::{FastHashMap, FastHashSet, FxBuildHasher, FxHasher};
 pub use line::Line;
 pub use signature::ReadSignature;
 pub use store::BackingStore;
+
+/// Line indices below this are held in flat arrays indexed by line number
+/// instead of hash maps: the backing store, the directory's per-line
+/// state, the read signature's bitmap and the EVM ground-truth storage
+/// all share this span. Every workload in the registry allocates its heap
+/// from word 0 upward, so effectively all traffic takes the direct path;
+/// 2^15 lines is 2 MiB of payload, grown lazily only as far as touched.
+pub const DENSE_LINES: usize = 1 << 15;

@@ -9,8 +9,8 @@ use crate::addr::LineAddr;
 use crate::fasthash::FastHashSet;
 
 /// Direct-mapped span of the signature bitmap; lines above this spill
-/// into a hash set. Matches the backing store's dense region.
-const DENSE_SIG_LINES: u64 = 1 << 15;
+/// into a hash set.
+const DENSE_SIG_LINES: u64 = crate::DENSE_LINES as u64;
 
 /// An exact set of lines transactionally read by a core.
 ///

@@ -9,14 +9,7 @@
 use crate::addr::{Addr, LineAddr};
 use crate::fasthash::FastHashMap;
 use crate::line::Line;
-
-/// Line indices below this are held in a flat, open-addressed-by-identity
-/// array (index == line index) instead of a hash map. Every workload in
-/// the registry allocates its heap from word 0 upward, so effectively all
-/// backing-store traffic takes the direct path; 2^15 lines is 2 MiB of
-/// payload, grown lazily in line-sized steps only as far as actually
-/// touched.
-const DENSE_LINES: usize = 1 << 15;
+use crate::DENSE_LINES;
 
 /// Sparse word-accurate simulated memory.
 ///

@@ -1,6 +1,8 @@
 //! Shape regressions: the qualitative results each figure's story depends
 //! on, asserted at quick scale so CI catches a regression in any layer —
-//! policy logic, protocol, workloads or renderers.
+//! policy logic, protocol, workloads or renderers. The numbers themselves
+//! are pinned too: every table at quick scale must match
+//! `goldens/paper_tables_quick.txt` byte for byte.
 //!
 //! Every cell is simulated here with the disk cache off: a cache entry
 //! is keyed by job and crate version, not by build, so reading one could
@@ -11,6 +13,8 @@ use chats_runner::experiments::{self, Scale};
 use chats_runner::figures::{self, Cells};
 use chats_runner::{JobSet, JobSpec, RunReport, Runner, RunnerConfig};
 use chats_stats::RunStats;
+use std::fs;
+use std::path::Path;
 
 fn run(set: &JobSet) -> RunReport {
     let runner = Runner::new(RunnerConfig {
@@ -180,23 +184,40 @@ fn chats_beats_idealized_levc_on_intruder() {
     );
 }
 
+/// Every table of [`experiments::available`] at quick scale, rendered as
+/// `chats-run run all --smoke` prints it. Regenerate after an
+/// *intentional* change to a figure with:
+///
+/// ```text
+/// CHATS_UPDATE_GOLDEN=1 cargo test -p chats-runner --test figure_shapes
+/// ```
 #[test]
 fn every_experiment_id_runs_at_quick_scale() {
-    // Smoke the renderers on real results: most ids share cells, so one
-    // run of their union stays fast while covering fig5/6/7 code paths.
-    let ids = [
-        "table1",
-        "table2",
-        "fig5",
-        "fig6",
-        "chains",
-        "ablations",
-        "picwidth",
-    ];
-    let report = run(&experiments::union(ids, Scale::Quick).unwrap());
+    let ids = experiments::available();
+    let report = run(&experiments::union(ids.iter().copied(), Scale::Quick).unwrap());
     let cells = Cells::new(Scale::Quick, &report.results);
+    let mut actual = String::new();
     for id in ids {
-        let t = figures::render(id, &cells).unwrap().unwrap();
-        assert!(!t.is_empty(), "{id} produced an empty table");
+        if let Some(table) = figures::render(id, &cells) {
+            let table = table.unwrap_or_else(|e| panic!("{id}: {e}"));
+            actual.push_str(&format!("=== {id} ===\n{table}\n"));
+        }
     }
+
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/goldens/paper_tables_quick.txt");
+    if std::env::var_os("CHATS_UPDATE_GOLDEN").is_some() {
+        fs::write(&path, &actual).unwrap();
+        eprintln!("figure_shapes: golden rewritten at {}", path.display());
+        return;
+    }
+    let golden = fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "missing golden {} ({e}); regenerate with CHATS_UPDATE_GOLDEN=1",
+            path.display()
+        )
+    });
+    assert_eq!(
+        golden, actual,
+        "a reproduced table moved (an intentional change needs CHATS_UPDATE_GOLDEN=1)"
+    );
 }

@@ -129,13 +129,14 @@ impl Workload for Bayes {
 
         let total = threads as u64 * iters;
         let checker = Box::new(move |m: &chats_machine::Machine| {
+            let mem = m.memory_view();
             let degrees: u64 = (0..NODES)
-                .map(|nd| m.inspect_word(Addr(line_word(GRAPH_BASE + nd))))
+                .map(|nd| mem.read(Addr(line_word(GRAPH_BASE + nd))))
                 .sum();
             if degrees != total {
                 return Err(format!("degree sum {degrees} != flips {total}"));
             }
-            let edges = m.inspect_word(Addr(line_word(EDGES_LINE)));
+            let edges = mem.read(Addr(line_word(EDGES_LINE)));
             if edges != total {
                 return Err(format!("edge counter {edges} != flips {total}"));
             }

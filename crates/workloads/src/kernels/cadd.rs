@@ -137,14 +137,15 @@ impl Workload for Cadd {
         let total = threads as u64 * iters;
         let n_threads = threads as u64;
         let checker = Box::new(move |m: &chats_machine::Machine| {
-            let var = m.inspect_word(Addr(line_word(SHARED_VAR)));
+            let mem = m.memory_view();
+            let var = mem.read(Addr(line_word(SHARED_VAR)));
             if var != total {
                 return Err(format!("shared variable {var} != {total}"));
             }
             // Each result is (cluster sum = CLUSTER_LEN) + (some value of
             // the shared variable in 1..=total).
             for t in 0..n_threads {
-                let r = m.inspect_word(Addr(RESULTS_BASE + t * 8));
+                let r = mem.read(Addr(RESULTS_BASE + t * 8));
                 let base = CLUSTER_LEN;
                 if !(base + 1..=base + total).contains(&r) {
                     return Err(format!(

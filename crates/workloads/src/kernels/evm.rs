@@ -128,7 +128,7 @@ impl Workload for EvmWorkload {
             MemRegion {
                 name: "params",
                 base_line: l.end_line(),
-                lines: (1 << 15) - l.end_line(),
+                lines: chats_mem::DENSE_LINES as u64 - l.end_line(),
             },
         ]
     }
@@ -145,8 +145,10 @@ impl Workload for EvmWorkload {
             })
             .collect();
         let check = scenario.check;
-        let checker =
-            Box::new(move |m: &chats_machine::Machine| check.verify(&mut |a| m.inspect_word(a)));
+        let checker = Box::new(move |m: &chats_machine::Machine| {
+            let mem = m.memory_view();
+            check.verify(&mut |a| mem.read(a))
+        });
         WorkloadSetup {
             programs,
             init: scenario.init,

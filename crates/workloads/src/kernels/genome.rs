@@ -112,15 +112,15 @@ impl Workload for Genome {
 
         let total = threads as u64 * segs;
         let checker = Box::new(move |m: &chats_machine::Machine| {
-            check_region_sum(m, "bucket counters", 0, BUCKETS, total)?;
+            let mem = m.memory_view();
+            check_region_sum(&mem, "bucket counters", 0, BUCKETS, total)?;
             // Atomicity of counter-bump + publish: every insertion landed in
             // a distinct slot, so exactly `total` slots are non-zero.
             let mut published = 0u64;
             for bkt in 0..BUCKETS {
-                let cnt = m.inspect_word(Addr(line_word(bkt)));
+                let cnt = mem.read(Addr(line_word(bkt)));
                 for s in 0..cnt.min(SLOTS_PER_BUCKET) {
-                    let v =
-                        m.inspect_word(Addr(line_word(SLOTS_BASE + bkt * SLOTS_PER_BUCKET + s)));
+                    let v = mem.read(Addr(line_word(SLOTS_BASE + bkt * SLOTS_PER_BUCKET + s)));
                     if v != 0 {
                         published += 1;
                     } else {

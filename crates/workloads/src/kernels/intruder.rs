@@ -165,15 +165,16 @@ impl Workload for Intruder {
         let tree_expect = threads as u64
             * ((iters - per_thread_rebalances) + per_thread_rebalances * REBALANCE_TOUCHES);
         let checker = Box::new(move |m: &chats_machine::Machine| {
-            let head = m.inspect_word(Addr(line_word(FIFO_HEAD)));
+            let mem = m.memory_view();
+            let head = mem.read(Addr(line_word(FIFO_HEAD)));
             if head != total {
                 return Err(format!("fifo head {head} != {total}"));
             }
-            let res = m.inspect_word(Addr(line_word(RESULTS)));
+            let res = mem.read(Addr(line_word(RESULTS)));
             if res != total {
                 return Err(format!("results {res} != {total}"));
             }
-            check_region_sum(m, "tree updates", TREE_BASE, TREE_NODES, tree_expect)
+            check_region_sum(&mem, "tree updates", TREE_BASE, TREE_NODES, tree_expect)
         });
 
         WorkloadSetup {

@@ -121,9 +121,10 @@ impl Workload for Kmeans {
         let total_points = threads as u64 * points;
         let c_lines = centers * DIMS;
         let checker = Box::new(move |m: &chats_machine::Machine| {
-            check_region_sum(m, "center updates", 0, c_lines, total_points * DIMS)?;
+            let mem = m.memory_view();
+            check_region_sum(&mem, "center updates", 0, c_lines, total_points * DIMS)?;
             for g in 0..2u64 {
-                let got = m.inspect_word(Addr(line_word(GLOBALS_BASE + g)));
+                let got = mem.read(Addr(line_word(GLOBALS_BASE + g)));
                 if got != total_points {
                     return Err(format!("global {g}: {got} != {total_points}"));
                 }

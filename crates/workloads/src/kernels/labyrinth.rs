@@ -99,7 +99,7 @@ impl Workload for Labyrinth {
 
         let expect = threads as u64 * iters * WRITES_PER_PATH;
         let checker = Box::new(move |m: &chats_machine::Machine| {
-            check_region_sum(m, "grid paths", 0, GRID_LINES, expect)
+            check_region_sum(&m.memory_view(), "grid paths", 0, GRID_LINES, expect)
         });
 
         WorkloadSetup {

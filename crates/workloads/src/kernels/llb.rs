@@ -141,9 +141,10 @@ impl Workload for Llb {
 
         let expect = threads as u64 * iters;
         let checker = Box::new(move |m: &chats_machine::Machine| {
+            let mem = m.memory_view();
             // Values sum to the number of committed modifications.
             let total: u64 = (0..LIST_LEN)
-                .map(|node| m.inspect_word(Addr(line_word(node) + 1)))
+                .map(|node| mem.read(Addr(line_word(node) + 1)))
                 .sum();
             if total != expect {
                 return Err(format!("list values sum {total} != {expect}"));
@@ -151,7 +152,7 @@ impl Workload for Llb {
             // The structure itself must be intact: next pointers are never
             // written, so a corrupted pointer means speculation leaked.
             for node in 0..LIST_LEN {
-                let next = m.inspect_word(Addr(line_word(node)));
+                let next = mem.read(Addr(line_word(node)));
                 let want = if node + 1 == LIST_LEN { NIL } else { node + 1 };
                 if next != want {
                     return Err(format!("node {node} next pointer corrupted: {next}"));

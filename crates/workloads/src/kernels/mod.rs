@@ -12,7 +12,7 @@ pub mod ssca2;
 pub mod vacation;
 pub mod yada;
 
-use chats_machine::Machine;
+use chats_machine::MemoryView;
 use chats_mem::Addr;
 use chats_tvm::{ProgramBuilder, Reg};
 
@@ -51,9 +51,9 @@ pub fn emit_rmw_inc(b: &mut ProgramBuilder, addr_reg: Reg, tmp: Reg) {
 /// Sums the first words of `lines` consecutive lines starting at
 /// `base_line` in final memory.
 #[must_use]
-pub fn sum_region(m: &Machine, base_line: u64, lines: u64) -> u64 {
+pub fn sum_region(mem: &MemoryView, base_line: u64, lines: u64) -> u64 {
     (0..lines)
-        .map(|i| m.inspect_word(Addr(line_word(base_line + i))))
+        .map(|i| mem.read(Addr(line_word(base_line + i))))
         .sum()
 }
 
@@ -61,13 +61,13 @@ pub fn sum_region(m: &Machine, base_line: u64, lines: u64) -> u64 {
 /// exactly `expect` (each committed transaction contributed exactly its
 /// increments — no lost updates, no phantom speculative writes).
 pub fn check_region_sum(
-    m: &Machine,
+    mem: &MemoryView,
     what: &str,
     base_line: u64,
     lines: u64,
     expect: u64,
 ) -> Result<(), String> {
-    let got = sum_region(m, base_line, lines);
+    let got = sum_region(mem, base_line, lines);
     if got == expect {
         Ok(())
     } else {

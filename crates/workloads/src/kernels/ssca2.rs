@@ -89,7 +89,13 @@ impl Workload for Ssca2 {
 
         let expect = threads as u64 * iters * UPDATES_PER_TX;
         let checker = Box::new(move |m: &chats_machine::Machine| {
-            check_region_sum(m, "adjacency updates", 0, ARRAY_LINES, expect)
+            check_region_sum(
+                &m.memory_view(),
+                "adjacency updates",
+                0,
+                ARRAY_LINES,
+                expect,
+            )
         });
 
         WorkloadSetup {

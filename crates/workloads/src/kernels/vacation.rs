@@ -108,7 +108,7 @@ impl Workload for Vacation {
 
         let expect = threads as u64 * iters * updates;
         let checker = Box::new(move |m: &chats_machine::Machine| {
-            check_region_sum(m, "reservations", 0, table, expect)
+            check_region_sum(&m.memory_view(), "reservations", 0, table, expect)
         });
 
         WorkloadSetup {

@@ -97,7 +97,7 @@ impl Workload for Yada {
 
         let expect = threads as u64 * iters * TOUCHES;
         let checker = Box::new(move |m: &chats_machine::Machine| {
-            check_region_sum(m, "mesh updates", 0, MESH_LINES, expect)
+            check_region_sum(&m.memory_view(), "mesh updates", 0, MESH_LINES, expect)
         });
 
         WorkloadSetup {

@@ -250,8 +250,9 @@ impl Workload for TraceWorkload {
             .collect();
         let expect = self.expect.clone();
         let checker = Box::new(move |m: &chats_machine::Machine| {
+            let mem = m.memory_view();
             for (addr, want) in &expect {
-                let got = m.inspect_word(*addr);
+                let got = mem.read(*addr);
                 if got != *want {
                     return Err(format!("word {addr:?}: {got} != expected {want}"));
                 }
