@@ -3,7 +3,7 @@
 //! ```text
 //! chats-check list   [--smoke]
 //! chats-check explore [--smoke] [--walks N] [--flips N] [--no-attacks]
-//!                     [--faults PLAN.json] [--filter S]
+//!                     [--faults PLAN] [--filter S]
 //!                     [--failures-dir D] [--out D] [--quiet]
 //! chats-check replay FILE [--force]
 //! ```
@@ -37,10 +37,10 @@ options:
   --walks N                 random-walk schedules per scenario
   --flips N                 single-decision perturbations per scenario
   --no-attacks              skip the targeted attack schedules
-  --faults PLAN.json        install the fault plan on every scenario (the
-                            oracles must hold under faults too); PLAN may
-                            also be a shipped plan name: lossy-noc,
-                            abort-storm, validation-stress
+  --faults PLAN             install the fault plan on every scenario (the
+                            oracles must hold under faults too): a shipped
+                            name (lossy-noc, abort-storm,
+                            validation-stress) or a JSON plan file
   --filter S                keep scenarios whose name contains S
   --failures-dir D          reproducer directory (default target/chats-failures)
   --out D                   manifest directory (default target/chats-check)
@@ -112,14 +112,6 @@ fn parse_num<T: std::str::FromStr>(text: &str, flag: &str) -> Result<T, String> 
         .map_err(|_| format!("{flag}: invalid number '{text}'"))
 }
 
-/// Resolves `--faults`: a shipped plan name first, else a JSON file path.
-fn resolve_plan(spec: &str) -> Result<FaultPlan, String> {
-    if let Some(plan) = FaultPlan::shipped().into_iter().find(|p| p.name == spec) {
-        return Ok(plan);
-    }
-    FaultPlan::load(std::path::Path::new(spec))
-}
-
 /// Builds the scenario suite; returns it with the resolved fault plan,
 /// if any, so callers can name outputs after the plan.
 fn suite(args: &Args) -> Result<(Vec<Scenario>, Option<FaultPlan>), String> {
@@ -133,7 +125,7 @@ fn suite(args: &Args) -> Result<(Vec<Scenario>, Option<FaultPlan>), String> {
     }
     let plan = match &args.faults {
         Some(spec) => {
-            let plan = resolve_plan(spec)?;
+            let plan = FaultPlan::resolve(spec)?;
             apply_fault_plan(&mut scenarios, &plan);
             Some(plan)
         }

@@ -1,42 +1,36 @@
 //! `chats-dissect`: the divergence-dissection command line.
 //!
 //! ```text
-//! chats-dissect --workload W --system S [--smoke] [--interval N]
-//!               [--threads N] [--seed X] [--max-cycles N]
-//!               [--seed-b Y] [--faults-a PLAN] [--faults-b PLAN]
-//!               [--report FILE] [--assert-fault-match]
+//! chats-dissect LABEL_A [LABEL_B] [--smoke] [--interval N]
+//!               [--report FILE] [--assert-fault-match] [--quiet]
 //! ```
 //!
-//! Runs side A and side B of the named workload with epoch commitments
-//! armed, brackets the first divergent epoch by diffing the commitment
-//! chains, then replays that one epoch in lockstep to pin the exact
-//! first divergent event. Exits 0 when the sides are identical, 1 when
-//! they diverge (the expected outcome for a deliberate A/B experiment
-//! is selected with `--assert-fault-match`, which instead exits 0 iff
-//! the pinned event is the first fault injection on side B).
+//! Runs the two jobs named by the labels (see `JobSpec::from_label`;
+//! B defaults to A) with epoch commitments armed, brackets the first
+//! divergent epoch by diffing the commitment chains, then replays that
+//! one epoch in lockstep to pin the exact first divergent event. Exits 0
+//! when the sides are identical, 1 when they diverge (the expected
+//! outcome for a deliberate A/B experiment is selected with
+//! `--assert-fault-match`, which instead exits 0 iff the pinned event is
+//! the first fault injection on side B).
 
-use chats_check::{dissect, DissectOutcome, DissectRequest, DissectSide, FaultPlan};
-use chats_core::{HtmSystem, PolicyConfig};
+use chats_check::{dissect, DissectOutcome, DissectRequest};
 use chats_machine::DEFAULT_COMMIT_INTERVAL;
-use chats_workloads::RunConfig;
+use chats_runner::{JobSpec, Scale};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 const USAGE: &str = "\
-usage: chats-dissect --workload W [options]
+usage: chats-dissect LABEL_A [LABEL_B] [options]
+
+Dissects job A against job B (default: A again, the identical-pair
+check). A label is WORKLOAD/SYSTEM with optional :rN :vsbN :ivN :fs-SET
+:picN :no-overtake :single-link :tN :faults-NAME suffixes, as
+`chats-run list` prints them, e.g. cadd/chats:faults-lossy-noc.
 
 options:
-  --workload W              registry name of the workload (required)
-  --system S                HTM system: baseline, naive-rs, chats, power,
-                            pchats, levc (default chats)
   --smoke                   4-core quick-test machine (default: paper scale)
   --interval N              epoch-commitment interval in cycles (default 4096)
-  --threads N               thread count override
-  --seed X                  side A (and default side B) seed
-  --max-cycles N            cycle budget override
-  --seed-b Y                side B seed (default: side A's)
-  --faults-a PLAN           fault plan on side A (name or JSON path)
-  --faults-b PLAN           fault plan on side B (name or JSON path)
   --report FILE             write the JSON dissection report to FILE
   --assert-fault-match      exit 0 iff the pinned first-divergent event is
                             side B's first fault injection (CI mode)
@@ -46,16 +40,9 @@ exit status: 0 identical (or asserted match), 1 diverged (or failed
 assertion), 2 usage/configuration error";
 
 struct Args {
-    workload: Option<String>,
-    system: String,
+    labels: Vec<String>,
     smoke: bool,
     interval: u64,
-    threads: Option<usize>,
-    seed: Option<u64>,
-    max_cycles: Option<u64>,
-    seed_b: Option<u64>,
-    faults_a: Option<String>,
-    faults_b: Option<String>,
     report: Option<PathBuf>,
     assert_fault_match: bool,
     quiet: bool,
@@ -63,16 +50,9 @@ struct Args {
 
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
-        workload: None,
-        system: "chats".to_string(),
+        labels: Vec::new(),
         smoke: false,
         interval: DEFAULT_COMMIT_INTERVAL,
-        threads: None,
-        seed: None,
-        max_cycles: None,
-        seed_b: None,
-        faults_a: None,
-        faults_b: None,
         report: None,
         assert_fault_match: false,
         quiet: false,
@@ -81,18 +61,13 @@ fn parse_args() -> Result<Args, String> {
     while let Some(arg) = argv.next() {
         let mut value = |what: &str| argv.next().ok_or_else(|| format!("{what} needs a value"));
         match arg.as_str() {
-            "--workload" => args.workload = Some(value("--workload")?),
-            "--system" => args.system = value("--system")?,
             "--smoke" => args.smoke = true,
-            "--interval" => args.interval = parse_num(&value("--interval")?, "--interval")?,
-            "--threads" => args.threads = Some(parse_num(&value("--threads")?, "--threads")?),
-            "--seed" => args.seed = Some(parse_num(&value("--seed")?, "--seed")?),
-            "--max-cycles" => {
-                args.max_cycles = Some(parse_num(&value("--max-cycles")?, "--max-cycles")?);
+            "--interval" => {
+                let text = value("--interval")?;
+                args.interval = text
+                    .parse()
+                    .map_err(|_| format!("--interval: invalid number '{text}'"))?;
             }
-            "--seed-b" => args.seed_b = Some(parse_num(&value("--seed-b")?, "--seed-b")?),
-            "--faults-a" => args.faults_a = Some(value("--faults-a")?),
-            "--faults-b" => args.faults_b = Some(value("--faults-b")?),
             "--report" => args.report = Some(PathBuf::from(value("--report")?)),
             "--assert-fault-match" => args.assert_fault_match = true,
             "--quiet" => args.quiet = true,
@@ -100,68 +75,29 @@ fn parse_args() -> Result<Args, String> {
                 println!("{USAGE}");
                 std::process::exit(0);
             }
-            s => return Err(format!("unexpected argument '{s}'")),
+            s if s.starts_with('-') => return Err(format!("unexpected argument '{s}'")),
+            s => args.labels.push(s.to_string()),
         }
     }
     Ok(args)
 }
 
-fn parse_num<T: std::str::FromStr>(text: &str, flag: &str) -> Result<T, String> {
-    text.parse()
-        .map_err(|_| format!("{flag}: invalid number '{text}'"))
-}
-
-/// Resolves a fault-plan spec: a shipped plan name first, else a path.
-fn resolve_plan(spec: &str) -> Result<FaultPlan, String> {
-    if let Some(plan) = FaultPlan::shipped().into_iter().find(|p| p.name == spec) {
-        return Ok(plan);
-    }
-    FaultPlan::load(std::path::Path::new(spec))
-}
-
 fn build_request(args: &Args) -> Result<DissectRequest, String> {
-    let workload = args
-        .workload
-        .clone()
-        .ok_or("--workload is required".to_string())?;
-    let policy = PolicyConfig::for_system(args.system.parse::<HtmSystem>()?);
-    let mut base = if args.smoke {
-        RunConfig::quick_test()
+    let scale = if args.smoke {
+        Scale::Quick
     } else {
-        RunConfig::paper()
+        Scale::Paper
     };
-    if let Some(t) = args.threads {
-        base.threads = t;
-    }
-    if let Some(s) = args.seed {
-        base.seed = s;
-    }
-    if let Some(c) = args.max_cycles {
-        base.max_cycles = c;
-    }
-    let mut cfg_a = base.clone();
-    if let Some(spec) = &args.faults_a {
-        cfg_a.faults = Some(resolve_plan(spec)?);
-    }
-    let mut cfg_b = base;
-    if let Some(s) = args.seed_b {
-        cfg_b.seed = s;
-    }
-    if let Some(spec) = &args.faults_b {
-        cfg_b.faults = Some(resolve_plan(spec)?);
-    }
+    let (a, b) = match args.labels.as_slice() {
+        [a] => (a, a),
+        [a, b] => (a, b),
+        [] => return Err("missing job label".to_string()),
+        _ => return Err("at most two job labels".to_string()),
+    };
     Ok(DissectRequest {
-        workload,
-        policy,
         interval: args.interval,
-        a: DissectSide {
-            label: "a".to_string(),
-            config: cfg_a,
-        },
-        b: DissectSide {
-            label: "b".to_string(),
-            config: cfg_b,
-        },
+        a: JobSpec::from_label(a, scale)?,
+        b: JobSpec::from_label(b, scale)?,
     })
 }
 

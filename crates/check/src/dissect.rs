@@ -1,7 +1,7 @@
 //! Divergence dissection: bracket, then pin.
 //!
-//! Two runs of the same workload that should agree — same config on two
-//! builds, clean vs fault-injected, before vs after a change — disagree
+//! Two runs that should agree — the same job on two builds, clean vs
+//! fault-injected, before vs after a knob change — disagree
 //! *somewhere*, and a full-trace diff over millions of events is the
 //! wrong instrument for finding out where. Dissection uses the epoch
 //! commitment chain (see `chats_machine::commit`) as a pre-computed
@@ -19,35 +19,20 @@
 //! divergence is the first *effect* of a fault on the machine, not the
 //! fault plan's mere presence.
 
-use chats_core::PolicyConfig;
-use chats_runner::Json;
-use chats_workloads::{prepare_run, registry, RunConfig};
+use chats_machine::Machine;
+use chats_runner::{JobSpec, Json};
 use std::collections::BTreeMap;
 
-/// One side of an A/B dissection: a label plus the run configuration.
-/// Sides share the workload and policy; they may differ in seed, fault
-/// plan, or any other [`RunConfig`] knob.
-#[derive(Debug, Clone)]
-pub struct DissectSide {
-    /// Report label (`"a"` / `"b"`, or something descriptive).
-    pub label: String,
-    /// The side's full run configuration.
-    pub config: RunConfig,
-}
-
-/// What to dissect.
+/// What to dissect: two jobs, each run as its own spec says. The sides
+/// may differ in any knob — workload, policy, seed, fault plan.
 #[derive(Debug, Clone)]
 pub struct DissectRequest {
-    /// Registry name of the workload both sides run.
-    pub workload: String,
-    /// The HTM policy both sides run under.
-    pub policy: PolicyConfig,
     /// Epoch-commitment interval in cycles (bracketing resolution).
     pub interval: u64,
     /// Side A ("expected").
-    pub a: DissectSide,
+    pub a: JobSpec,
     /// Side B ("got").
-    pub b: DissectSide,
+    pub b: JobSpec,
 }
 
 /// The exact first divergent event, pinned by lockstep replay.
@@ -145,29 +130,26 @@ pub struct DissectReport {
 ///
 /// # Errors
 ///
-/// Returns a message for an unknown workload or a zero interval. A
-/// side's simulation *failing* (timeout, deadlock) is not an error: the
-/// chain up to the failure still brackets, and the failure is recorded
-/// in the side's status.
+/// Returns a message for an unknown workload on either side or a zero
+/// interval. A side's simulation *failing* (timeout, deadlock) is not
+/// an error: the chain up to the failure still brackets, and the
+/// failure is recorded in the side's status.
 pub fn dissect(req: &DissectRequest) -> Result<DissectReport, String> {
     if req.interval == 0 {
         return Err("dissect: interval must be positive".to_string());
     }
-    let workload = registry::by_name(&req.workload)
-        .ok_or_else(|| format!("unknown workload '{}'", req.workload))?;
-
     // Phase 1: full runs, chains recorded.
-    let chain_of = |cfg: &RunConfig| {
-        let mut prep = prepare_run(workload.as_ref(), req.policy, cfg);
-        prep.machine.set_commit_interval(req.interval);
-        let status = match prep.machine.run(cfg.max_cycles) {
+    let chain_of = |spec: &JobSpec| -> Result<_, String> {
+        let mut machine = spec.prepare()?.machine;
+        machine.set_commit_interval(req.interval);
+        let status = match machine.run(spec.config.max_cycles) {
             Ok(_) => "ok".to_string(),
             Err(e) => e.to_string(),
         };
-        (prep.machine.commitment_chain().to_vec(), status)
+        Ok((machine.commitment_chain().to_vec(), status))
     };
-    let (chain_a, status_a) = chain_of(&req.a.config);
-    let (chain_b, status_b) = chain_of(&req.b.config);
+    let (chain_a, status_a) = chain_of(&req.a)?;
+    let (chain_b, status_b) = chain_of(&req.b)?;
 
     let compared = chain_a.len().min(chain_b.len()) as u64;
     let first_diff = chain_a
@@ -180,7 +162,7 @@ pub fn dissect(req: &DissectRequest) -> Result<DissectReport, String> {
         // the shorter side halted (or failed) inside the next epoch.
         None => {
             let epoch_start = chain_a.get(compared as usize - 1).map_or(0, |e| e.boundary);
-            let (event, replayed) = pin_event(req, workload.as_ref(), epoch_start)?;
+            let (event, replayed) = pin_event(req, epoch_start)?;
             DissectOutcome::Diverged(Divergence {
                 epoch_start,
                 epoch_end: epoch_start + req.interval,
@@ -191,7 +173,7 @@ pub fn dissect(req: &DissectRequest) -> Result<DissectReport, String> {
         }
         Some(i) => {
             let epoch_start = if i == 0 { 0 } else { chain_a[i - 1].boundary };
-            let (event, replayed) = pin_event(req, workload.as_ref(), epoch_start)?;
+            let (event, replayed) = pin_event(req, epoch_start)?;
             DissectOutcome::Diverged(Divergence {
                 epoch_start,
                 epoch_end: chain_a[i].boundary,
@@ -216,22 +198,19 @@ pub fn dissect(req: &DissectRequest) -> Result<DissectReport, String> {
 /// state after every event, until the hashes split.
 fn pin_event(
     req: &DissectRequest,
-    workload: &dyn chats_workloads::Workload,
     epoch_start: u64,
 ) -> Result<(Option<DivergentEvent>, u64), String> {
-    let rebuild = |cfg: &RunConfig| -> Result<chats_machine::Machine, String> {
-        let mut prep = prepare_run(workload, req.policy, cfg);
+    let rebuild = |spec: &JobSpec| -> Result<Machine, String> {
+        let mut machine = spec.prepare()?.machine;
         if epoch_start > 0 {
-            match prep.machine.run_to(epoch_start, cfg.max_cycles) {
-                Ok(chats_machine::RunProgress::Paused { .. }) => {}
-                Ok(chats_machine::RunProgress::Done(_)) => {}
-                Err(e) => return Err(format!("replay to boundary {epoch_start}: {e}")),
+            if let Err(e) = machine.run_to(epoch_start, spec.config.max_cycles) {
+                return Err(format!("replay to boundary {epoch_start}: {e}"));
             }
         }
-        Ok(prep.machine)
+        Ok(machine)
     };
-    let mut ma = rebuild(&req.a.config)?;
-    let mut mb = rebuild(&req.b.config)?;
+    let mut ma = rebuild(&req.a)?;
+    let mut mb = rebuild(&req.b)?;
     // Both sides are at the same agreed state; step until they split.
     // The divergent boundary guarantees a split within one epoch, but a
     // side may also simply run out of events (it halted mid-epoch) —
@@ -283,29 +262,14 @@ impl DissectReport {
     #[must_use]
     pub fn to_json(&self) -> Json {
         let mut m = BTreeMap::new();
-        m.insert(
-            "workload".to_string(),
-            Json::Str(self.request.workload.clone()),
-        );
-        m.insert(
-            "system".to_string(),
-            Json::Str(self.request.policy.system.name().to_string()),
-        );
         m.insert("interval".to_string(), Json::U64(self.request.interval));
         for (key, side, status, epochs) in [
             ("a", &self.request.a, &self.status_a, self.epochs_a),
             ("b", &self.request.b, &self.status_b, self.epochs_b),
         ] {
             let mut s = BTreeMap::new();
-            s.insert("label".to_string(), Json::Str(side.label.clone()));
-            s.insert("seed".to_string(), Json::U64(side.config.seed));
-            s.insert(
-                "faults".to_string(),
-                side.config
-                    .faults
-                    .as_ref()
-                    .map_or(Json::Null, |p| Json::Str(p.name.clone())),
-            );
+            s.insert("label".to_string(), Json::Str(side.label()));
+            s.insert("id".to_string(), Json::Str(side.id().to_string()));
             s.insert("status".to_string(), Json::Str(status.clone()));
             s.insert("epochs".to_string(), Json::U64(epochs));
             m.insert(key.to_string(), Json::Obj(s));
@@ -350,26 +314,23 @@ impl DissectReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use chats_core::HtmSystem;
+    use chats_core::{HtmSystem, PolicyConfig};
     use chats_machine::FaultPlan;
+    use chats_workloads::RunConfig;
 
     fn request(seed_b: u64, faults_b: Option<FaultPlan>) -> DissectRequest {
-        let base = RunConfig::quick_test();
-        let mut cfg_b = base.clone();
-        cfg_b.seed = seed_b;
-        cfg_b.faults = faults_b;
+        let a = JobSpec::new(
+            "cadd",
+            PolicyConfig::for_system(HtmSystem::Chats),
+            RunConfig::quick_test(),
+        );
+        let mut b = a.clone();
+        b.config.seed = seed_b;
+        b.config.faults = faults_b;
         DissectRequest {
-            workload: "cadd".to_string(),
-            policy: PolicyConfig::for_system(HtmSystem::Chats),
             interval: 256,
-            a: DissectSide {
-                label: "clean".to_string(),
-                config: base,
-            },
-            b: DissectSide {
-                label: "perturbed".to_string(),
-                config: cfg_b,
-            },
+            a,
+            b,
         }
     }
 

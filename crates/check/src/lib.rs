@@ -21,7 +21,9 @@
 //! * [`shrink`] reduces a failing decision trace to a minimal
 //!   mostly-default prefix,
 //! * [`repro`] saves failures as self-contained JSON that
-//!   `chats-check replay` re-executes bit-exactly.
+//!   `chats-check replay` re-executes bit-exactly,
+//! * [`dissect`](mod@dissect) pins the first event at which two jobs diverge
+//!   (`chats-dissect`).
 //!
 //! # Example
 //!
@@ -46,7 +48,7 @@ pub mod shrink;
 
 pub use chats_machine::FaultPlan;
 pub use dissect::{
-    dissect, DissectOutcome, DissectReport, DissectRequest, DissectSide, Divergence, DivergentEvent,
+    dissect, DissectOutcome, DissectReport, DissectRequest, Divergence, DivergentEvent,
 };
 pub use explore::{explore, explore_scenario, ExploreBudget, ExploreReport, ScenarioReport};
 pub use repro::{default_failures_dir, Reproducer};

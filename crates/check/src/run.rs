@@ -6,6 +6,7 @@ use chats_core::PolicyConfig;
 use chats_machine::{Machine, Oracle, SimError, Tuning};
 use chats_mem::Addr;
 use chats_runner::hash::fnv1a_64;
+use chats_runner::pool::panic_message;
 use chats_sim::{DecisionRecord, SystemConfig};
 use chats_tvm::Vm;
 use std::collections::BTreeMap;
@@ -214,16 +215,6 @@ pub fn run_scenario(scenario: &Scenario, schedule: &Schedule) -> RunResult {
                 detail,
             }
         }
-    }
-}
-
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
     }
 }
 

@@ -90,7 +90,7 @@ impl HtmSystem {
     }
 
     /// Command-line name: the system half of a job label
-    /// (`kmeans-h/chats`), the `--system` value of every binary, and the
+    /// (`kmeans-h/chats`), by which every binary names a run, and the
     /// `chats-bench` case name. `str::parse::<HtmSystem>` is the exact
     /// inverse.
     #[must_use]

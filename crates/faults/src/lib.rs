@@ -57,22 +57,12 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::path::Path;
 
+mod hash;
+pub use hash::fnv1a_64;
+
 /// Format marker embedded in serialized plans and their canonical hash
 /// text, so layout changes invalidate cache keys instead of aliasing them.
 pub const FAULT_FORMAT_VERSION: u64 = 1;
-
-/// FNV-1a over `bytes` (the same construction the runner uses for job
-/// identity; duplicated here because `chats-faults` sits *below* the
-/// runner in the dependency graph).
-#[must_use]
-pub fn fnv1a_64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// The category of one injected fault, carried on `FaultInjected` trace
 /// events and tallied by [`FaultState`].
@@ -464,6 +454,26 @@ impl FaultPlan {
             .map_err(|e| format!("{}: {e}", path.display()))
     }
 
+    /// Resolves a command-line plan spec: the name of a
+    /// [shipped](FaultPlan::shipped) plan, else the path of a JSON plan.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming `spec` when it is neither a shipped name
+    /// nor a loadable plan file.
+    pub fn resolve(spec: &str) -> Result<FaultPlan, String> {
+        if let Some(plan) = FaultPlan::shipped().into_iter().find(|p| p.name == spec) {
+            return Ok(plan);
+        }
+        FaultPlan::load(Path::new(spec)).map_err(|e| {
+            let names: Vec<String> = FaultPlan::shipped().into_iter().map(|p| p.name).collect();
+            format!(
+                "fault plan '{spec}' is not a shipped plan ({}) nor a plan file: {e}",
+                names.join(", ")
+            )
+        })
+    }
+
     // ---- shipped plans -------------------------------------------------
 
     /// Shipped plan: a lossy, jittery interconnect. Delay jitter,
@@ -819,6 +829,18 @@ mod tests {
         };
         assert!(watch_only.is_empty());
         assert!(!FaultPlan::lossy_noc().is_empty());
+    }
+
+    #[test]
+    fn resolve_takes_a_shipped_name_or_a_plan_file() {
+        assert_eq!(
+            FaultPlan::resolve("lossy-noc").unwrap(),
+            FaultPlan::lossy_noc()
+        );
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../plans/abort-storm.json");
+        assert_eq!(FaultPlan::resolve(path).unwrap(), FaultPlan::abort_storm());
+        let err = FaultPlan::resolve("no-such-plan").unwrap_err();
+        assert!(err.contains("'no-such-plan'"), "{err}");
     }
 
     #[test]

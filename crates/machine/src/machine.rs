@@ -913,53 +913,20 @@ impl Machine {
         self.events.push(arrive, Event::DirRecv(msg));
     }
 
-    /// Sends a message from the directory to a core, injecting at
-    /// `clock + delay`.
-    pub(crate) fn dir_send_to_core(
+    /// Sends a message from node `src` to core `to`, injecting at
+    /// `clock + delay`: directory responses come from
+    /// [`Machine::dir_node`], 3-hop data responses, SpecResps and nacks
+    /// from another core's cache.
+    pub(crate) fn send_to_core(
         &mut self,
-        core: usize,
-        class: MsgClass,
-        msg: CoreMsg,
-        delay: u64,
-    ) {
-        let at = self.clock + delay;
-        let arrive = self.xbar.send(at, self.dir_node(), NodeId(core), class);
-        let (arrive, dup) = if self.faults.is_some() {
-            match self.fault_adjust_core_send(core, arrive, &msg) {
-                Some(adjusted) => adjusted,
-                None => return, // dropped validation response
-            }
-        } else {
-            (arrive, None)
-        };
-        if self.trace.enabled() {
-            self.trace.record(TraceEvent::NocSend {
-                at,
-                src: self.dir_node().0,
-                dst: core,
-                flits: self.xbar.flits_of(class),
-                arrive,
-            });
-        }
-        if let Some(d) = dup {
-            let dup_msg = msg.clone();
-            self.events.push(d, Event::CoreRecv { core, msg: dup_msg });
-        }
-        self.events.push(arrive, Event::CoreRecv { core, msg });
-    }
-
-    /// Sends a message from one core's cache to another core (3-hop data
-    /// responses, SpecResps, nacks).
-    pub(crate) fn core_send_to_core(
-        &mut self,
-        from: usize,
+        src: NodeId,
         to: usize,
         class: MsgClass,
         msg: CoreMsg,
         delay: u64,
     ) {
         let at = self.clock + delay;
-        let arrive = self.xbar.send(at, NodeId(from), NodeId(to), class);
+        let arrive = self.xbar.send(at, src, NodeId(to), class);
         let (arrive, dup) = if self.faults.is_some() {
             match self.fault_adjust_core_send(to, arrive, &msg) {
                 Some(adjusted) => adjusted,
@@ -971,7 +938,7 @@ impl Machine {
         if self.trace.enabled() {
             self.trace.record(TraceEvent::NocSend {
                 at,
-                src: from,
+                src: src.0,
                 dst: to,
                 flits: self.xbar.flits_of(class),
                 arrive,

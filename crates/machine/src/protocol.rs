@@ -8,7 +8,7 @@ use crate::machine::Machine;
 use crate::msg::{CoreMsg, DirMsg, Event, ProbeOutcome, Request};
 use chats_core::AbortCause;
 use chats_mem::{CoherenceState, Line, LineAddr};
-use chats_noc::MsgClass;
+use chats_noc::{MsgClass, NodeId};
 
 /// Delay before re-issuing a nacked or stalled demand request.
 const STALL_DELAY: u64 = 24;
@@ -99,7 +99,13 @@ impl Machine {
                 dl.inv_refused = false;
                 dl.invalidated.clear();
                 for s in others {
-                    self.dir_send_to_core(s, MsgClass::Control, CoreMsg::Inv { req }, dir_latency);
+                    self.send_to_core(
+                        self.dir_node(),
+                        s,
+                        MsgClass::Control,
+                        CoreMsg::Inv { req },
+                        dir_latency,
+                    );
                 }
             }
             Disposition::OwnedSelf => {
@@ -112,7 +118,8 @@ impl Machine {
             Disposition::OwnedOther(owner) => {
                 self.dir.touch(req.line);
                 self.dir.line_mut(req.line).busy = true;
-                self.dir_send_to_core(
+                self.send_to_core(
+                    self.dir_node(),
                     owner,
                     MsgClass::Control,
                     CoreMsg::Probe { req },
@@ -123,7 +130,8 @@ impl Machine {
     }
 
     fn respond_data(&mut self, req: Request, data: Line, excl: bool, delay: u64) {
-        self.dir_send_to_core(
+        self.send_to_core(
+            self.dir_node(),
             req.core,
             MsgClass::Data,
             CoreMsg::Data {
@@ -203,7 +211,8 @@ impl Machine {
         };
         if refused_any {
             // A power transaction kept its copy: nack the requester.
-            self.dir_send_to_core(
+            self.send_to_core(
+                self.dir_node(),
                 req.core,
                 MsgClass::Control,
                 CoreMsg::Nack {
@@ -345,8 +354,8 @@ impl Machine {
                     .lookup(req.line)
                     .expect("forwarding requires a cached copy")
                     .data;
-                self.core_send_to_core(
-                    core,
+                self.send_to_core(
+                    NodeId(core),
                     req.core,
                     MsgClass::Data,
                     CoreMsg::SpecResp {
@@ -374,8 +383,8 @@ impl Machine {
                 self.probe_service(core, req);
             }
             OwnerAction::Nack => {
-                self.core_send_to_core(
-                    core,
+                self.send_to_core(
+                    NodeId(core),
                     req.core,
                     MsgClass::Control,
                     CoreMsg::Nack {
@@ -429,8 +438,8 @@ impl Machine {
             }
         }
         if let Some(data) = data_to_req {
-            self.core_send_to_core(
-                core,
+            self.send_to_core(
+                NodeId(core),
                 req.core,
                 MsgClass::Data,
                 CoreMsg::Data {

@@ -24,8 +24,9 @@
 //!   [`profile_value`] builds the `profile.json` artifact `chats-run`
 //!   attaches to its manifests.
 //!
-//! The `chats-trace` binary wraps all of this as
-//! `record`/`report`/`export` commands (see EXPERIMENTS.md).
+//! The `chats-trace` binary (in `chats-runner`, which names runs by job
+//! label) wraps all of this as `record`/`report`/`export` commands (see
+//! EXPERIMENTS.md).
 //!
 //! # Example
 //!

@@ -4,7 +4,7 @@
 //! chats-run list [SET|LABEL...] [--smoke] [--filter S] [--family F]
 //! chats-run run  [SET|LABEL...] [--jobs N] [--filter S] [--family F] [--no-cache]
 //!                [--smoke] [--timeout N] [--retries N] [--verify-determinism]
-//!                [--faults PLAN.json] [--cache-dir D] [--runs-dir D] [--quiet]
+//!                [--faults PLAN] [--cache-dir D] [--runs-dir D] [--quiet]
 //! chats-run clean [--cache-dir D] [--runs-dir D] [--runs]
 //! ```
 //!
@@ -17,14 +17,13 @@
 //! `chats-run run kmeans-h/chats:r{1,2,4,8}`. `--smoke` switches to the
 //! 4-core quick-test machine with the atomicity oracle armed.
 
-use chats_obs::{profile_value, ProfileMeta, Timeline, VecSink};
+use chats_obs::{profile_value, Timeline, VecSink};
 use chats_runner::figures::{self, Cells};
 use chats_runner::manifest::PROFILE_ARTIFACT;
 use chats_runner::{
     default_cache_dir, default_runs_dir, experiments, jobs_table, summary_table, write_manifest,
     DiskCache, JobSet, Runner, RunnerConfig, Scale,
 };
-use chats_workloads::{registry, run_workload_traced};
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Duration;
@@ -52,8 +51,10 @@ options (run):
                             (default 900; --timeout-secs is an alias)
   --retries N               extra attempts after a panic/timeout (default 1)
   --verify-determinism      run every executed job twice, demand identical stats
-  --faults PLAN.json        install the fault plan on every job (the plan
-                            hash joins each job's cache identity)
+  --faults PLAN             install the fault plan on every job (the plan
+                            hash joins each job's cache identity): a
+                            shipped name (lossy-noc, abort-storm,
+                            validation-stress) or a JSON plan file
   --checkpoint-every N      pause every executed job each N simulated
                             cycles, snapshot it under
                             <cache-dir>/checkpoints/, and record its
@@ -93,7 +94,7 @@ struct Args {
     timeout_secs: Option<u64>,
     retries: Option<u32>,
     verify_determinism: bool,
-    faults: Option<PathBuf>,
+    faults: Option<String>,
     checkpoint_every: Option<u64>,
     resume: bool,
     cache_dir: Option<PathBuf>,
@@ -138,7 +139,7 @@ fn parse_args() -> Result<Args, String> {
                 args.timeout_secs = Some(parse_num(&value(&arg)?, &arg)?);
             }
             "--retries" => args.retries = Some(parse_num(&value("--retries")?, "--retries")?),
-            "--faults" => args.faults = Some(PathBuf::from(value("--faults")?)),
+            "--faults" => args.faults = Some(value("--faults")?),
             "--checkpoint-every" => {
                 args.checkpoint_every = Some(parse_num(
                     &value("--checkpoint-every")?,
@@ -215,8 +216,8 @@ fn build_set(
     if let Some(needle) = &args.filter {
         set.retain_matching(needle);
     }
-    if let Some(path) = &args.faults {
-        let plan = chats_workloads::FaultPlan::load(path)?;
+    if let Some(spec) = &args.faults {
+        let plan = chats_workloads::FaultPlan::resolve(spec)?;
         set.apply_faults(&plan);
     }
     Ok((set, ids))
@@ -363,23 +364,10 @@ fn build_profile(set: &JobSet, needle: &str) -> Result<String, String> {
         .find(|j| j.label() == needle)
         .or_else(|| set.iter().find(|j| j.label().contains(needle)))
         .ok_or_else(|| format!("no job matches '{needle}'"))?;
-    let workload = registry::by_name(&job.workload)
-        .ok_or_else(|| format!("unknown workload '{}'", job.workload))?;
-    let (out, sink) = run_workload_traced(
-        workload.as_ref(),
-        job.policy,
-        &job.config,
-        Box::new(VecSink::new()),
-    )?;
+    let (out, sink) = job.execute_traced(Box::new(VecSink::new()))?;
     let events = VecSink::into_events(sink);
     let tl = Timeline::rebuild(&events, out.stats.cycles);
-    let meta = ProfileMeta {
-        workload: job.workload.clone(),
-        system: job.policy.system.label().to_string(),
-        threads: job.config.threads,
-        seed: job.config.seed,
-    };
-    Ok(profile_value(&tl, &meta).to_compact())
+    Ok(profile_value(&tl, &job.profile_meta()).to_compact())
 }
 
 fn cmd_clean(args: &Args) -> ExitCode {

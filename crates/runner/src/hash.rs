@@ -1,38 +1,8 @@
 //! Content hashing for job identity.
 //!
 //! Jobs are identified by an FNV-1a 64-bit hash of their canonical
-//! configuration string (see [`crate::job::JobSpec::canonical`]). FNV is
-//! in-tree, dependency-free, stable across platforms and Rust releases —
-//! all properties the disk cache needs from its key. It is *not*
-//! collision-resistant against adversaries, which is fine: cache entries
-//! additionally store the full canonical string and are rejected on
-//! mismatch, so a collision costs a re-execution, never a wrong result.
+//! configuration string (see [`crate::job::JobSpec::canonical`]). The
+//! function lives in `chats-faults`, the lowest crate that needs it
+//! (fault plans hash into job ids); this path re-exports it.
 
-/// FNV-1a, 64-bit, over a byte string.
-#[must_use]
-pub fn fnv1a_64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn known_vectors() {
-        // Published FNV-1a 64-bit test vectors.
-        assert_eq!(fnv1a_64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a_64(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a_64(b"foobar"), 0x85944171f73967e8);
-    }
-
-    #[test]
-    fn distinct_inputs_distinct_hashes() {
-        assert_ne!(fnv1a_64(b"chats|genome"), fnv1a_64(b"chats|intruder"));
-    }
-}
+pub use chats_faults::fnv1a_64;

@@ -9,8 +9,13 @@
 use crate::experiments::Scale;
 use crate::hash::fnv1a_64;
 use chats_core::{ForwardSet, HtmSystem, PolicyConfig};
+use chats_machine::TraceSink;
+use chats_obs::ProfileMeta;
 use chats_stats::RunStats;
-use chats_workloads::{registry, run_workload_partial, FaultPlan, RunConfig, RunFailure};
+use chats_workloads::{
+    prepare_run, registry, run_workload_partial, run_workload_traced, FaultPlan, PreparedRun,
+    RunConfig, RunFailure, RunOutput, Workload,
+};
 use std::collections::HashSet;
 use std::fmt;
 
@@ -207,12 +212,62 @@ impl JobSpec {
     /// simulation timeout/deadlock/watchdog stall, or an invariant
     /// violation.
     pub fn execute_partial(&self) -> Result<RunStats, RunFailure> {
-        let workload = registry::by_name(&self.workload).ok_or_else(|| RunFailure {
-            message: format!("unknown workload '{}'", self.workload),
+        let workload = self.resolve_workload().map_err(|message| RunFailure {
+            message,
             partial: None,
             timed_out: false,
         })?;
         run_workload_partial(workload.as_ref(), self.policy, &self.config).map(|out| out.stats)
+    }
+
+    /// Runs the job with every protocol trace event routed into `sink`
+    /// (see [`run_workload_traced`]) and hands the sink back with the
+    /// run's output.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error string for an unknown workload name, a
+    /// simulation timeout/deadlock, or an invariant violation.
+    pub fn execute_traced(
+        &self,
+        sink: Box<dyn TraceSink>,
+    ) -> Result<(RunOutput, Box<dyn TraceSink>), String> {
+        run_workload_traced(
+            self.resolve_workload()?.as_ref(),
+            self.policy,
+            &self.config,
+            sink,
+        )
+    }
+
+    /// The job's machine, built and loaded but not yet run (see
+    /// [`prepare_run`]), for callers that drive it themselves.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error string for an unknown workload name.
+    pub fn prepare(&self) -> Result<PreparedRun, String> {
+        Ok(prepare_run(
+            self.resolve_workload()?.as_ref(),
+            self.policy,
+            &self.config,
+        ))
+    }
+
+    /// The run identity a trace profile records.
+    #[must_use]
+    pub fn profile_meta(&self) -> ProfileMeta {
+        ProfileMeta {
+            workload: self.workload.clone(),
+            system: self.policy.system.label().to_string(),
+            threads: self.config.threads,
+            seed: self.config.seed,
+        }
+    }
+
+    fn resolve_workload(&self) -> Result<Box<dyn Workload>, String> {
+        registry::by_name(&self.workload)
+            .ok_or_else(|| format!("unknown workload '{}'", self.workload))
     }
 }
 

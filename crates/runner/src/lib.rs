@@ -28,7 +28,9 @@
 //!
 //! The `chats-run` binary exposes all of this on the command line: `run`
 //! executes the named grids and job labels, then prints and saves each
-//! requested figure's table next to the manifest.
+//! requested figure's table next to the manifest. The `chats-trace`
+//! binary records one labelled job's protocol trace and reports or
+//! exports it (see `chats-obs`).
 
 pub mod cache;
 pub mod checkpoint;

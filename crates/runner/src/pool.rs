@@ -520,7 +520,10 @@ fn attempt_once(spec: &JobSpec, timeout: Duration, ckpt: Option<&CheckpointConfi
     }
 }
 
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+/// The message of a caught panic payload (`panic!` with a literal or a
+/// formatted string), for failure records.
+#[must_use]
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {

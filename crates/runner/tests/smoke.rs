@@ -1,6 +1,7 @@
-//! End-to-end smoke test of the `chats-run` CLI: submit → execute →
-//! cache → manifest, twice, against throwaway cache/manifest
-//! directories.
+//! End-to-end smoke tests of the runner's command lines: `chats-run`
+//! submit → execute → cache → manifest, twice, against throwaway
+//! cache/manifest directories, and `chats-trace` record → report →
+//! export.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -124,6 +125,22 @@ fn smoke_list_names_jobs_without_running() {
     assert!(out.status.success(), "{stdout}");
     assert!(stdout.contains("cadd/chats"), "{stdout}");
     assert!(stdout.contains("1 unique jobs"), "{stdout}");
+    // --faults takes a shipped plan name as well as a JSON file.
+    let faulted = chats_run(
+        &root,
+        &[
+            "list",
+            "chains",
+            "--smoke",
+            "--filter",
+            "cadd/",
+            "--faults",
+            "lossy-noc",
+        ],
+    );
+    let stdout = String::from_utf8_lossy(&faulted.stdout);
+    assert!(faulted.status.success(), "{stdout}");
+    assert!(stdout.contains("cadd/chats:faults-lossy-noc"), "{stdout}");
     // Listing must not create cache entries.
     assert!(!root.join("cache").exists());
     let _ = fs::remove_dir_all(&root);
@@ -226,5 +243,61 @@ fn smoke_run_prints_and_saves_figure_tables() {
     let tables_only = chats_run(&root, &["run", "table2", "--smoke", "--quiet"]);
     assert!(tables_only.status.success());
     assert!(String::from_utf8_lossy(&tables_only.stdout).contains("=== table2 ==="));
+    let _ = fs::remove_dir_all(&root);
+}
+
+fn chats_trace(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_chats-trace"))
+        .args(args)
+        .output()
+        .expect("spawn chats-trace")
+}
+
+/// `chats-trace` names its run by a job label: record, report and export
+/// one quick-scale job, and check the Perfetto export the way CI does —
+/// valid JSON with at least one attempt slice on every core.
+#[test]
+fn trace_records_reports_and_exports_a_labelled_job() {
+    let root = temp_root("trace");
+    let trace = root.join("cadd.jsonl");
+    let export = root.join("cadd.trace.json");
+    let (trace_s, export_s) = (trace.to_str().unwrap(), export.to_str().unwrap());
+
+    let record = chats_trace(&["record", "cadd/chats", "--smoke", "--out", trace_s]);
+    assert!(
+        record.status.success(),
+        "{}",
+        String::from_utf8_lossy(&record.stderr)
+    );
+    assert!(root.join("cadd.jsonl.meta.json").exists());
+
+    let report = chats_trace(&["report", "--trace", trace_s]);
+    assert!(report.status.success());
+    assert!(String::from_utf8_lossy(&report.stdout).contains("useful"));
+
+    let exported = chats_trace(&["export", "--trace", trace_s, "--out", export_s]);
+    assert!(exported.status.success());
+    let doc = chats_runner::Json::parse(&fs::read_to_string(&export).unwrap()).unwrap();
+    let cores = doc
+        .get("otherData")
+        .and_then(|o| o.get("cores"))
+        .and_then(chats_runner::Json::as_u64)
+        .unwrap();
+    let events = doc.get("traceEvents").and_then(|e| e.as_arr()).unwrap();
+    let tids: std::collections::BTreeSet<u64> = events
+        .iter()
+        .filter(|e| {
+            e.get("ph").and_then(|p| p.as_str()) == Some("X")
+                && e.get("cat").and_then(|c| c.as_str()) == Some("attempt")
+        })
+        .filter_map(|e| e.get("tid").and_then(chats_runner::Json::as_u64))
+        .collect();
+    assert!(cores >= 1);
+    assert_eq!(tids, (0..cores).collect(), "an attempt slice on every core");
+
+    let bad = chats_trace(&["record", "cadd/chats:rx", "--smoke", "--out", trace_s]);
+    assert_eq!(bad.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&bad.stderr);
+    assert!(stderr.contains("'cadd/chats:rx'"), "{stderr}");
     let _ = fs::remove_dir_all(&root);
 }
