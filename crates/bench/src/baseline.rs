@@ -229,9 +229,9 @@ fn execute_once(case: &Case, commit_interval: Option<u64>) -> (RunStats, Duratio
             let cfg = RunConfig::paper();
             let t0 = Instant::now();
             for _ in 0..case.inner.max(1) {
-                let out = run_workload(w.as_ref(), PolicyConfig::for_system(case.system), &cfg)
+                let stats = run_workload(w.as_ref(), PolicyConfig::for_system(case.system), &cfg)
                     .expect("paper-config run completes");
-                add(&mut total, &out.stats);
+                add(&mut total, &stats);
             }
             (total, t0.elapsed(), 0)
         }

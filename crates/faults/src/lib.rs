@@ -64,6 +64,12 @@ pub use hash::fnv1a_64;
 /// text, so layout changes invalidate cache keys instead of aliasing them.
 pub const FAULT_FORMAT_VERSION: u64 = 1;
 
+/// The largest cycle count a decoded plan may give a knob (a delay,
+/// window, timeout, period or duration): 2^32 cycles, above the paper
+/// machine's 2·10⁹-cycle budget, so adding a knob to a cycle count can
+/// never overflow.
+pub const MAX_CYCLE_KNOB: u64 = 1 << 32;
+
 /// The category of one injected fault, carried on `FaultInjected` trace
 /// events and tallied by [`FaultState`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
@@ -251,6 +257,18 @@ fn get_permille(m: &BTreeMap<String, Value>, key: &str) -> Result<u32, String> {
     Ok(v as u32)
 }
 
+/// Reads a cycle-count knob like [`get_u64`], capped at
+/// [`MAX_CYCLE_KNOB`].
+fn get_cycles(m: &BTreeMap<String, Value>, key: &str) -> Result<u64, String> {
+    let v = get_u64(m, key)?;
+    if v > MAX_CYCLE_KNOB {
+        return Err(format!(
+            "fault plan: '{key}' = {v} exceeds {MAX_CYCLE_KNOB} cycles"
+        ));
+    }
+    Ok(v)
+}
+
 fn section<'a>(
     v: &'a Value,
     key: &str,
@@ -389,8 +407,8 @@ impl FaultPlan {
     /// # Errors
     ///
     /// Returns a message for non-object input, an unsupported `version`,
-    /// a present key of the wrong JSON type, or a permille knob above
-    /// 1000.
+    /// a present key of the wrong JSON type, a permille knob above 1000,
+    /// or a cycle-count knob above [`MAX_CYCLE_KNOB`].
     pub fn from_value(v: &Value) -> Result<FaultPlan, String> {
         let top = v.as_obj().ok_or("fault plan: not a JSON object")?;
         let version = match top.get("version") {
@@ -414,29 +432,29 @@ impl FaultPlan {
                     .to_string(),
             },
             seed_salt: get_u64(top, "seed_salt")?,
-            watchdog_horizon: get_u64(top, "watchdog_horizon")?,
+            watchdog_horizon: get_cycles(top, "watchdog_horizon")?,
             noc: NocFaults {
                 delay_permille: get_permille(&n, "delay_permille")?,
-                delay_max: get_u64(&n, "delay_max")?,
+                delay_max: get_cycles(&n, "delay_max")?,
                 reorder_permille: get_permille(&n, "reorder_permille")?,
-                reorder_window: get_u64(&n, "reorder_window")?,
+                reorder_window: get_cycles(&n, "reorder_window")?,
                 duplicate_permille: get_permille(&n, "duplicate_permille")?,
                 drop_permille: get_permille(&n, "drop_permille")?,
-                drop_timeout: get_u64(&n, "drop_timeout")?,
+                drop_timeout: get_cycles(&n, "drop_timeout")?,
             },
             htm: HtmFaults {
                 spurious_abort_permille: get_permille(&h, "spurious_abort_permille")?,
-                storm_period: get_u64(&h, "storm_period")?,
-                storm_len: get_u64(&h, "storm_len")?,
+                storm_period: get_cycles(&h, "storm_period")?,
+                storm_len: get_cycles(&h, "storm_len")?,
                 freeze_permille: get_permille(&h, "freeze_permille")?,
-                freeze_cycles: get_u64(&h, "freeze_cycles")?,
+                freeze_cycles: get_cycles(&h, "freeze_cycles")?,
                 slowdown_permille: get_permille(&h, "slowdown_permille")?,
-                slowdown_cycles: get_u64(&h, "slowdown_cycles")?,
+                slowdown_cycles: get_cycles(&h, "slowdown_cycles")?,
                 vsb_evict_permille: get_permille(&h, "vsb_evict_permille")?,
             },
             protocol: ProtocolFaults {
                 validation_delay_permille: get_permille(&p, "validation_delay_permille")?,
-                validation_delay_max: get_u64(&p, "validation_delay_max")?,
+                validation_delay_max: get_cycles(&p, "validation_delay_max")?,
                 drop_validation_data: get_u64(&p, "drop_validation_data")?,
             },
         })

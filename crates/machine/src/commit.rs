@@ -534,7 +534,7 @@ pub fn build_fingerprint() -> u64 {
 #[cfg(test)]
 mod tests {
     use crate::machine::RunProgress;
-    use crate::{Machine, Tuning};
+    use crate::{Machine, RingSink, Tuning};
     use chats_core::{HtmSystem, PolicyConfig};
     use chats_sim::SystemConfig;
     use chats_tvm::{ProgramBuilder, Reg, Vm};
@@ -571,7 +571,7 @@ mod tests {
     fn commitments_are_deterministic_and_trace_invariant() {
         let mut a = counter_machine(7);
         a.set_commit_interval(256);
-        a.enable_trace(1 << 14);
+        a.set_trace_sink(Box::new(RingSink::new(1 << 14)));
         let stats_a = a.run(1_000_000).unwrap();
 
         let mut b = counter_machine(7);
@@ -608,7 +608,7 @@ mod tests {
         // Golden: one uninterrupted run.
         let mut gold = counter_machine(7);
         gold.set_commit_interval(256);
-        gold.enable_trace(1 << 14);
+        gold.set_trace_sink(Box::new(RingSink::new(1 << 14)));
         let gold_stats = gold.run(1_000_000).unwrap();
         let gold_trace = gold.trace_events();
         let gold_chain = gold.commitment_chain().to_vec();
@@ -617,7 +617,7 @@ mod tests {
         // Interrupted: pause on an epoch boundary, checkpoint.
         let mut first = counter_machine(7);
         first.set_commit_interval(256);
-        first.enable_trace(1 << 14);
+        first.set_trace_sink(Box::new(RingSink::new(1 << 14)));
         let RunProgress::Paused { at } = first.run_to(1024, 1_000_000).unwrap() else {
             panic!("workload finished before the pause boundary");
         };
@@ -627,7 +627,7 @@ mod tests {
 
         // Resume on a freshly constructed machine.
         let mut resumed = counter_machine(7);
-        resumed.enable_trace(1 << 14);
+        resumed.set_trace_sink(Box::new(RingSink::new(1 << 14)));
         resumed.restore(&ckpt).unwrap();
         // Paused exactly on a boundary ⇒ the restored state re-hashes to
         // that boundary's chain entry.

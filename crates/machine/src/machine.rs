@@ -557,20 +557,13 @@ impl Machine {
         &self.cores[core].l1
     }
 
-    /// Enables protocol tracing into the built-in bounded ring: the
-    /// **latest** `limit` events are kept and older ones are counted by
-    /// [`Machine::dropped_events`]. Call before [`Machine::run`]. For
-    /// unbounded capture, install a streaming sink with
-    /// [`Machine::set_trace_sink`] instead. See [`TraceEvent`].
-    pub fn enable_trace(&mut self, limit: usize) {
-        self.trace = Trace::Ring(RingSink::new(limit));
-    }
-
     /// Routes all trace events into `sink` (replacing any previous sink).
     /// Call before [`Machine::run`]; retrieve the sink afterwards with
     /// [`Machine::take_trace_sink`]. A boxed [`RingSink`] is folded into
     /// the built-in ring, so [`Machine::trace_events`] and
-    /// [`Machine::dropped_events`] read it directly.
+    /// [`Machine::dropped_events`] read it directly: the ring keeps the
+    /// **latest** events and counts the older ones it dropped. See
+    /// [`TraceEvent`].
     pub fn set_trace_sink(&mut self, mut sink: Box<dyn TraceSink>) {
         if let Some(ring) = sink.as_any_mut().and_then(|a| a.downcast_mut::<RingSink>()) {
             self.trace = Trace::Ring(std::mem::replace(ring, RingSink::new(1)));
@@ -595,8 +588,8 @@ impl Machine {
         }
     }
 
-    /// The recorded protocol trace, oldest first (empty unless
-    /// [`Machine::enable_trace`] was used; custom sinks own their events).
+    /// The recorded protocol trace, oldest first (empty unless a
+    /// [`RingSink`] was installed; other sinks own their events).
     #[must_use]
     pub fn trace_events(&self) -> Vec<TraceEvent> {
         self.trace.events()

@@ -6,8 +6,9 @@
 //! events go is decided by the installed [`TraceSink`]:
 //!
 //! * [`RingSink`] — a bounded in-memory ring that keeps the **latest**
-//!   events and counts everything it had to drop (what
-//!   [`crate::Machine::enable_trace`] installs),
+//!   events and counts everything it had to drop
+//!   ([`crate::Machine::set_trace_sink`] keeps it built in, so
+//!   [`crate::Machine::trace_events`] reads it),
 //! * `chats-obs`'s JSONL sink — streams every event to disk,
 //! * no sink at all — the default; emission sites check
 //!   [`Trace::enabled`] first, so a machine without a sink never even
@@ -366,7 +367,8 @@ pub(crate) enum Trace {
     /// with [`Trace::enabled`]).
     #[default]
     Off,
-    /// The built-in bounded ring ([`crate::Machine::enable_trace`]).
+    /// The built-in bounded ring (a [`RingSink`] handed to
+    /// [`crate::Machine::set_trace_sink`]).
     Ring(RingSink),
     /// A pluggable sink ([`crate::Machine::set_trace_sink`]).
     Custom(Box<dyn TraceSink>),

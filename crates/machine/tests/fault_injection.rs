@@ -4,7 +4,7 @@
 //! must surface as structured failure reports instead of raw timeouts.
 
 use chats_core::{HtmSystem, PolicyConfig};
-use chats_machine::{FaultPlan, Machine, Oracle, SimError, TraceEvent, Tuning};
+use chats_machine::{FaultPlan, Machine, Oracle, RingSink, SimError, TraceEvent, Tuning};
 use chats_mem::Addr;
 use chats_sim::SystemConfig;
 use chats_tvm::{ProgramBuilder, Reg, Vm};
@@ -150,7 +150,7 @@ fn shipped_plans_preserve_serializability_on_every_system() {
 #[test]
 fn abort_storm_injects_and_traces_faults() {
     let mut m = build_machine(HtmSystem::Chats, 3, false);
-    m.enable_trace(100_000);
+    m.set_trace_sink(Box::new(RingSink::new(100_000)));
     m.set_fault_plan(&FaultPlan::abort_storm());
     m.run(40_000_000).expect("abort-storm run failed");
     assert!(
@@ -217,5 +217,38 @@ fn dropped_validation_response_ends_in_failure_report() {
             assert!(rendered.contains("no progress within 50000 cycles"));
         }
         other => panic!("expected a watchdog failure report, got: {other}"),
+    }
+}
+
+/// Every cycle knob at the largest value a decoded plan may carry, its
+/// fault armed at 1000 permille: cycle arithmetic must not overflow
+/// (tests build with overflow checks), so each run ends in statistics or
+/// a simulation error, never a panic.
+#[test]
+fn the_largest_decodable_cycle_knobs_do_not_overflow() {
+    const CAP: u64 = chats_faults::MAX_CYCLE_KNOB;
+    let arms: [fn(&mut FaultPlan); 8] = [
+        |p| (p.noc.delay_permille, p.noc.delay_max) = (1000, CAP),
+        |p| (p.noc.reorder_permille, p.noc.reorder_window) = (1000, CAP),
+        |p| (p.noc.drop_permille, p.noc.drop_timeout) = (1000, CAP),
+        |p| (p.htm.freeze_permille, p.htm.freeze_cycles) = (1000, CAP),
+        |p| (p.htm.slowdown_permille, p.htm.slowdown_cycles) = (1000, CAP),
+        |p| {
+            p.htm.spurious_abort_permille = 1000;
+            (p.htm.storm_period, p.htm.storm_len) = (CAP, CAP);
+        },
+        |p| {
+            p.protocol.validation_delay_permille = 1000;
+            p.protocol.validation_delay_max = CAP;
+        },
+        |p| p.watchdog_horizon = CAP,
+    ];
+    for arm in arms {
+        let mut plan = FaultPlan::default();
+        arm(&mut plan);
+        let plan = FaultPlan::from_value(&plan.to_value()).expect("the cap decodes");
+        let mut m = build_machine(HtmSystem::Chats, 5, false);
+        m.set_fault_plan(&plan);
+        let _ = m.run(20_000_000);
     }
 }

@@ -38,12 +38,12 @@
 //! let w = registry::by_name("cadd").unwrap();
 //! let cfg = RunConfig::quick_test();
 //! let policy = PolicyConfig::for_system(HtmSystem::Chats);
-//! let (out, sink) = run_workload_traced(w.as_ref(), policy, &cfg, Box::new(VecSink::new()))
+//! let (stats, sink) = run_workload_traced(w.as_ref(), policy, &cfg, Box::new(VecSink::new()))
 //!     .unwrap();
 //! let events = VecSink::into_events(sink);
-//! let tl = Timeline::rebuild(&events, out.stats.cycles);
+//! let tl = Timeline::rebuild(&events, stats.cycles);
 //! let agg = tl.aggregate();
-//! assert_eq!(agg.total(), out.stats.cycles * tl.cores.len() as u64);
+//! assert_eq!(agg.total(), stats.cycles * tl.cores.len() as u64);
 //! ```
 
 mod chrome;

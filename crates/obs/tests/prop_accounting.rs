@@ -95,16 +95,16 @@ fn workload_runs_partition_exactly() {
         let workload = registry::by_name(name).expect("registered workload");
         let cfg = RunConfig::quick_test();
         let policy = PolicyConfig::for_system(system);
-        let (out, sink) =
+        let (stats, sink) =
             run_workload_traced(workload.as_ref(), policy, &cfg, Box::new(VecSink::new()))
                 .expect("workload completes");
         let events = VecSink::into_events(sink);
-        let tl = Timeline::rebuild(&events, out.stats.cycles);
+        let tl = Timeline::rebuild(&events, stats.cycles);
         assert_eq!(
             tl.aggregate().total(),
-            out.stats.cycles * tl.cores.len() as u64,
+            stats.cycles * tl.cores.len() as u64,
             "{name} under {system:?}"
         );
-        assert_eq!(tl.commits(), out.stats.commits, "{name} under {system:?}");
+        assert_eq!(tl.commits(), stats.commits, "{name} under {system:?}");
     }
 }

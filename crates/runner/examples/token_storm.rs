@@ -34,7 +34,7 @@ fn main() {
 
     for system in [HtmSystem::Baseline, HtmSystem::Chats] {
         let t0 = std::time::Instant::now();
-        let (out, sink) = run_workload_traced(
+        let (s, sink) = run_workload_traced(
             &workload,
             PolicyConfig::for_system(system),
             &cfg,
@@ -43,8 +43,7 @@ fn main() {
         .expect("token-storm run completes and conserves balances");
         let wall = t0.elapsed();
         let events = VecSink::into_events(sink);
-        let tl = Timeline::rebuild(&events, out.stats.cycles);
-        let s = &out.stats;
+        let tl = Timeline::rebuild(&events, s.cycles);
 
         println!();
         println!("== {} ==", system.label());

@@ -3,8 +3,9 @@
 //! ```text
 //! chats-run list [SET|LABEL...] [--smoke] [--filter S] [--family F]
 //! chats-run run  [SET|LABEL...] [--jobs N] [--filter S] [--family F] [--no-cache]
-//!                [--smoke] [--timeout N] [--retries N] [--verify-determinism]
-//!                [--faults PLAN] [--cache-dir D] [--runs-dir D] [--quiet]
+//!                [--smoke] [--verify-determinism] [--faults PLAN]
+//!                [--checkpoint-every N] [--resume] [--cache-dir D]
+//!                [--runs-dir D] [--profile LABEL] [--quiet]
 //! chats-run clean [--cache-dir D] [--runs-dir D] [--runs]
 //! ```
 //!
@@ -16,6 +17,11 @@
 //! `JobSpec::from_label`), so shell brace expansion builds ad-hoc grids:
 //! `chats-run run kmeans-h/chats:r{1,2,4,8}`. `--smoke` switches to the
 //! 4-core quick-test machine with the atomicity oracle armed.
+//!
+//! Each job runs once, inline on the pool worker that claims it. Its
+//! simulated cycle budget is the only timeout, and a job that panics is
+//! recorded as failed without a retry: a simulation is deterministic, so
+//! a second run would end the same way.
 
 use chats_obs::{profile_value, Timeline, VecSink};
 use chats_runner::figures::{self, Cells};
@@ -26,7 +32,6 @@ use chats_runner::{
 };
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::time::Duration;
 
 const USAGE: &str = "\
 usage: chats-run <command> [args]
@@ -47,9 +52,6 @@ options (run):
                             selects from the union of every set
   --no-cache                ignore and do not write the disk cache
   --smoke                   quick-test scale: 4 cores, atomicity oracle on
-  --timeout N               per-attempt wall-clock budget in seconds
-                            (default 900; --timeout-secs is an alias)
-  --retries N               extra attempts after a panic/timeout (default 1)
   --verify-determinism      run every executed job twice, demand identical stats
   --faults PLAN             install the fault plan on every job (the plan
                             hash joins each job's cache identity): a
@@ -91,8 +93,6 @@ struct Args {
     family: Option<String>,
     no_cache: bool,
     smoke: bool,
-    timeout_secs: Option<u64>,
-    retries: Option<u32>,
     verify_determinism: bool,
     faults: Option<String>,
     checkpoint_every: Option<u64>,
@@ -115,8 +115,6 @@ fn parse_args() -> Result<Args, String> {
         family: None,
         no_cache: false,
         smoke: false,
-        timeout_secs: None,
-        retries: None,
         verify_determinism: false,
         faults: None,
         checkpoint_every: None,
@@ -135,10 +133,6 @@ fn parse_args() -> Result<Args, String> {
             "--family" => args.family = Some(value("--family")?),
             "--no-cache" => args.no_cache = true,
             "--smoke" => args.smoke = true,
-            "--timeout" | "--timeout-secs" => {
-                args.timeout_secs = Some(parse_num(&value(&arg)?, &arg)?);
-            }
-            "--retries" => args.retries = Some(parse_num(&value("--retries")?, "--retries")?),
             "--faults" => args.faults = Some(value("--faults")?),
             "--checkpoint-every" => {
                 args.checkpoint_every = Some(parse_num(
@@ -259,15 +253,10 @@ fn cmd_run(args: &Args, scale: Scale) -> ExitCode {
         eprintln!("chats-run: no jobs match");
         return ExitCode::from(2);
     }
-    let defaults = RunnerConfig::default();
     let cfg = RunnerConfig {
-        jobs: args.jobs.unwrap_or(defaults.jobs),
+        jobs: args.jobs.unwrap_or_else(|| RunnerConfig::default().jobs),
         use_cache: !args.no_cache,
         cache_dir: args.cache_dir.clone().unwrap_or_else(default_cache_dir),
-        timeout: args
-            .timeout_secs
-            .map_or(defaults.timeout, Duration::from_secs),
-        max_attempts: args.retries.map_or(defaults.max_attempts, |r| r + 1),
         verify_determinism: args.verify_determinism,
         checkpoint_every: args.checkpoint_every,
         resume: args.resume,
@@ -364,9 +353,11 @@ fn build_profile(set: &JobSet, needle: &str) -> Result<String, String> {
         .find(|j| j.label() == needle)
         .or_else(|| set.iter().find(|j| j.label().contains(needle)))
         .ok_or_else(|| format!("no job matches '{needle}'"))?;
-    let (out, sink) = job.execute_traced(Box::new(VecSink::new()))?;
+    let (stats, sink) = job
+        .execute_traced(Box::new(VecSink::new()))
+        .map_err(|fail| fail.message)?;
     let events = VecSink::into_events(sink);
-    let tl = Timeline::rebuild(&events, out.stats.cycles);
+    let tl = Timeline::rebuild(&events, stats.cycles);
     Ok(profile_value(&tl, &job.profile_meta()).to_compact())
 }
 

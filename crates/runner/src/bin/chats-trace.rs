@@ -43,74 +43,101 @@ labels: WORKLOAD/SYSTEM with optional :rN :vsbN :ivN :fs-SET :picN
         :no-overtake :single-link :tN :faults-NAME suffixes, as
         `chats-run list` prints them, e.g. cadd/chats:faults-lossy-noc";
 
-struct Args {
-    command: String,
-    /// The `record` job, resolved from its label.
-    job: Option<JobSpec>,
-    out: Option<PathBuf>,
-    trace: Option<PathBuf>,
-    cycles: Option<u64>,
-    strict: bool,
+/// One validated command line: every required input is present, so
+/// what fails after parsing is the run or the files, never the input.
+enum Command {
+    Record {
+        job: Box<JobSpec>,
+        out: PathBuf,
+    },
+    Report {
+        trace: PathBuf,
+        cycles: Option<u64>,
+        strict: bool,
+    },
+    Export {
+        trace: PathBuf,
+        out: PathBuf,
+        cycles: Option<u64>,
+    },
 }
 
-fn parse_args() -> Result<Args, String> {
+fn parse_args() -> Result<Command, String> {
     let mut argv = std::env::args().skip(1);
     let command = argv.next().ok_or("missing command")?;
-    let (mut label, mut smoke) = (None, false);
-    let mut args = Args {
-        command,
-        job: None,
-        out: None,
-        trace: None,
-        cycles: None,
-        strict: false,
-    };
+    let (mut label, mut smoke, mut strict) = (None, false, false);
+    let (mut out, mut trace, mut cycles) = (None, None, None);
     while let Some(arg) = argv.next() {
         let mut value = |what: &str| argv.next().ok_or_else(|| format!("{what} needs a value"));
         match arg.as_str() {
             "--smoke" => smoke = true,
-            "--out" => args.out = Some(PathBuf::from(value("--out")?)),
-            "--trace" => args.trace = Some(PathBuf::from(value("--trace")?)),
+            "--out" => out = Some(PathBuf::from(value("--out")?)),
+            "--trace" => trace = Some(PathBuf::from(value("--trace")?)),
             "--cycles" => {
                 let text = value("--cycles")?;
                 let n = text
                     .parse()
                     .map_err(|_| format!("--cycles: invalid number '{text}'"))?;
-                args.cycles = Some(n);
+                cycles = Some(n);
             }
-            "--strict" => args.strict = true,
+            "--strict" => strict = true,
             "--help" | "-h" => {
                 println!("{USAGE}");
                 std::process::exit(0);
             }
-            s if s.starts_with('-') || label.is_some() => {
+            s if s.starts_with('-') || label.is_some() || command != "record" => {
                 return Err(format!("unknown argument '{s}'"));
             }
             s => label = Some(s.to_string()),
         }
     }
-    let scale = if smoke { Scale::Quick } else { Scale::Paper };
-    args.job = label.map(|l| JobSpec::from_label(&l, scale)).transpose()?;
-    Ok(args)
+    let need =
+        |path: Option<PathBuf>, flag: &str| path.ok_or_else(|| format!("{command} needs {flag}"));
+    match command.as_str() {
+        "record" => {
+            let label = label.ok_or("record needs a job label")?;
+            let scale = if smoke { Scale::Quick } else { Scale::Paper };
+            Ok(Command::Record {
+                job: Box::new(JobSpec::from_label(&label, scale)?),
+                out: need(out, "--out")?,
+            })
+        }
+        "report" => Ok(Command::Report {
+            trace: need(trace, "--trace")?,
+            cycles,
+            strict,
+        }),
+        "export" => Ok(Command::Export {
+            trace: need(trace, "--trace")?,
+            out: need(out, "--out")?,
+            cycles,
+        }),
+        "--help" | "-h" => {
+            println!("{USAGE}");
+            std::process::exit(0);
+        }
+        other => Err(format!("unknown command '{other}'")),
+    }
 }
 
+/// Bad input exits 2 with the usage text; a run or file that fails
+/// exits 1.
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(a) => a,
+    let command = match parse_args() {
+        Ok(c) => c,
         Err(e) => {
             eprintln!("chats-trace: {e}\n\n{USAGE}");
             return ExitCode::from(2);
         }
     };
-    let result = match args.command.as_str() {
-        "record" => cmd_record(&args),
-        "report" => cmd_report(&args),
-        "export" => cmd_export(&args),
-        "--help" | "-h" => {
-            println!("{USAGE}");
-            Ok(())
-        }
-        other => Err(format!("unknown command '{other}'\n\n{USAGE}")),
+    let result = match command {
+        Command::Record { job, out } => cmd_record(&job, &out),
+        Command::Report {
+            trace,
+            cycles,
+            strict,
+        } => cmd_report(&trace, cycles, strict),
+        Command::Export { trace, out, cycles } => cmd_export(&trace, &out, cycles),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
@@ -128,12 +155,12 @@ fn meta_path(trace: &Path) -> PathBuf {
     trace.with_file_name(name)
 }
 
-fn cmd_record(args: &Args) -> Result<(), String> {
-    let job = args.job.as_ref().ok_or("record needs a job label")?;
-    let out = args.out.as_deref().ok_or("record needs --out")?;
+fn cmd_record(job: &JobSpec, out: &Path) -> Result<(), String> {
     let sink =
         JsonlSink::create(out).map_err(|e| format!("cannot create {}: {e}", out.display()))?;
-    let (run, sink) = job.execute_traced(Box::new(sink))?;
+    let (stats, sink) = job
+        .execute_traced(Box::new(sink))
+        .map_err(|fail| fail.message)?;
     let dropped = sink.dropped();
     if dropped > 0 {
         eprintln!("chats-trace: warning: {dropped} events dropped (write errors)");
@@ -146,9 +173,9 @@ fn cmd_record(args: &Args) -> Result<(), String> {
             ("system".to_string(), Value::Str(meta.system)),
             ("threads".to_string(), Value::U64(meta.threads as u64)),
             ("seed".to_string(), Value::U64(meta.seed)),
-            ("cycles".to_string(), Value::U64(run.stats.cycles)),
-            ("commits".to_string(), Value::U64(run.stats.commits)),
-            ("aborts".to_string(), Value::U64(run.stats.total_aborts())),
+            ("cycles".to_string(), Value::U64(stats.cycles)),
+            ("commits".to_string(), Value::U64(stats.commits)),
+            ("aborts".to_string(), Value::U64(stats.total_aborts())),
             ("dropped_events".to_string(), Value::U64(dropped)),
         ]
         .into_iter()
@@ -159,8 +186,8 @@ fn cmd_record(args: &Args) -> Result<(), String> {
     println!(
         "recorded {} for {} cycles ({} commits) -> {} (+ {})",
         job.label(),
-        run.stats.cycles,
-        run.stats.commits,
+        stats.cycles,
+        stats.commits,
         out.display(),
         mp.display()
     );
@@ -171,11 +198,10 @@ fn cmd_record(args: &Args) -> Result<(), String> {
 /// then meta sidecar, then the last event timestamp. The sidecar also
 /// gives the workload name and the recorder's dropped-event counter
 /// (empty and 0 when no sidecar exists).
-fn load_timeline(args: &Args) -> Result<(Timeline, String, u64), String> {
-    let path = args.trace.as_deref().ok_or("missing --trace")?;
+fn load_timeline(path: &Path, cycles: Option<u64>) -> Result<(Timeline, String, u64), String> {
     let events = read_jsonl_file(path)?;
     let mut workload = String::new();
-    let mut cycles = args.cycles;
+    let mut cycles = cycles;
     let mut dropped = 0;
     let mp = meta_path(path);
     if let Ok(text) = std::fs::read_to_string(&mp) {
@@ -207,8 +233,8 @@ fn load_timeline(args: &Args) -> Result<(Timeline, String, u64), String> {
     Ok((Timeline::rebuild(&events, horizon), workload, dropped))
 }
 
-fn cmd_report(args: &Args) -> Result<(), String> {
-    let (tl, workload, dropped) = load_timeline(args)?;
+fn cmd_report(trace: &Path, cycles: Option<u64>, strict: bool) -> Result<(), String> {
+    let (tl, workload, dropped) = load_timeline(trace, cycles)?;
     // The meta sidecar names the workload; its memory map (when it has
     // one — the evm family does) attributes hot lines to contract
     // regions in the report.
@@ -221,16 +247,15 @@ fn cmd_report(args: &Args) -> Result<(), String> {
             "chats-trace: WARNING: the recording sink dropped {dropped} event(s); \
              this report is built from an INCOMPLETE trace"
         );
-        if args.strict {
+        if strict {
             return Err(format!("--strict: {dropped} dropped event(s)"));
         }
     }
     Ok(())
 }
 
-fn cmd_export(args: &Args) -> Result<(), String> {
-    let out = args.out.as_deref().ok_or("export needs --out")?;
-    let (tl, _, _) = load_timeline(args)?;
+fn cmd_export(trace: &Path, out: &Path, cycles: Option<u64>) -> Result<(), String> {
+    let (tl, _, _) = load_timeline(trace, cycles)?;
     let v = chrome_trace(&tl);
     std::fs::write(out, v.to_compact()).map_err(|e| format!("{}: {e}", out.display()))?;
     println!(

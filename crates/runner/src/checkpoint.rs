@@ -21,7 +21,7 @@
 use crate::job::JobSpec;
 use chats_machine::{EpochCommitment, RunProgress};
 use chats_stats::RunStats;
-use chats_workloads::{finish_run, prepare_run, registry, PreparedRun, RunFailure};
+use chats_workloads::{finish_run, PreparedRun, RunFailure};
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -78,15 +78,10 @@ pub fn execute_checkpointed(
     spec: &JobSpec,
     ckpt: &CheckpointConfig,
 ) -> Result<(RunStats, CommitMeta), RunFailure> {
-    let workload = registry::by_name(&spec.workload).ok_or_else(|| RunFailure {
-        message: format!("unknown workload '{}'", spec.workload),
-        partial: None,
-        timed_out: false,
-    })?;
     let PreparedRun {
         mut machine,
         checker,
-    } = prepare_run(workload.as_ref(), spec.policy, &spec.config);
+    } = spec.prepare()?;
     machine.set_commit_interval(ckpt.every);
 
     let path = ckpt.path_for(spec);
@@ -103,8 +98,7 @@ pub fn execute_checkpointed(
                 );
                 let _ = fs::remove_file(&path);
                 // The failed restore may have torn machine state; rebuild.
-                let fresh = prepare_run(workload.as_ref(), spec.policy, &spec.config);
-                machine = fresh.machine;
+                machine = spec.prepare()?.machine;
                 machine.set_commit_interval(ckpt.every);
             }
         }
@@ -127,7 +121,7 @@ pub fn execute_checkpointed(
         }
     };
     let stats = finish_run(
-        workload.name(),
+        &spec.workload,
         spec.policy.system,
         &machine,
         &checker,
@@ -241,9 +235,8 @@ mod tests {
         let (golden_stats, golden_meta) = execute_checkpointed(&spec, &ckpt).unwrap();
 
         // Interrupt: run the first stride by hand and leave the sidecar
-        // behind, exactly as an abandoned worker thread would.
-        let workload = registry::by_name(&spec.workload).unwrap();
-        let mut prep = prepare_run(workload.as_ref(), spec.policy, &spec.config);
+        // behind, exactly as a killed process would.
+        let mut prep = spec.prepare().unwrap();
         prep.machine.set_commit_interval(ckpt.every);
         match prep
             .machine
@@ -273,7 +266,7 @@ mod tests {
     fn a_timeout_reads_the_same_on_both_paths() {
         let mut spec = spec();
         spec.config.max_cycles = 1_000;
-        let plain = spec.execute_partial().unwrap_err();
+        let plain = spec.execute().unwrap_err();
         let dir = tmp_dir("timeout");
         let ckpt = CheckpointConfig {
             every: 256,

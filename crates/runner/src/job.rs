@@ -13,8 +13,8 @@ use chats_machine::TraceSink;
 use chats_obs::ProfileMeta;
 use chats_stats::RunStats;
 use chats_workloads::{
-    prepare_run, registry, run_workload_partial, run_workload_traced, FaultPlan, PreparedRun,
-    RunConfig, RunFailure, RunOutput, Workload,
+    prepare_run, registry, run_workload, run_workload_traced, FaultPlan, PreparedRun, RunConfig,
+    RunFailure, Workload,
 };
 use std::collections::HashSet;
 use std::fmt;
@@ -195,43 +195,24 @@ impl JobSpec {
     ///
     /// # Errors
     ///
-    /// Returns an error string for an unknown workload name, a
-    /// simulation timeout/deadlock, or an invariant violation.
-    pub fn execute(&self) -> Result<RunStats, String> {
-        self.execute_partial().map_err(|fail| fail.message)
-    }
-
-    /// Like [`JobSpec::execute`], but failures carry whatever statistics
-    /// the machine had gathered when it stopped (see
-    /// [`chats_workloads::RunFailure`]), so timed-out jobs can be
-    /// reported with partial progress.
-    ///
-    /// # Errors
-    ///
     /// Returns a [`RunFailure`] for an unknown workload name, a
     /// simulation timeout/deadlock/watchdog stall, or an invariant
-    /// violation.
-    pub fn execute_partial(&self) -> Result<RunStats, RunFailure> {
-        let workload = self.resolve_workload().map_err(|message| RunFailure {
-            message,
-            partial: None,
-            timed_out: false,
-        })?;
-        run_workload_partial(workload.as_ref(), self.policy, &self.config).map(|out| out.stats)
+    /// violation; a run that started carries its partial statistics.
+    pub fn execute(&self) -> Result<RunStats, RunFailure> {
+        run_workload(self.resolve_workload()?.as_ref(), self.policy, &self.config)
     }
 
     /// Runs the job with every protocol trace event routed into `sink`
     /// (see [`run_workload_traced`]) and hands the sink back with the
-    /// run's output.
+    /// run's statistics.
     ///
     /// # Errors
     ///
-    /// Returns an error string for an unknown workload name, a
-    /// simulation timeout/deadlock, or an invariant violation.
+    /// Same as [`JobSpec::execute`].
     pub fn execute_traced(
         &self,
         sink: Box<dyn TraceSink>,
-    ) -> Result<(RunOutput, Box<dyn TraceSink>), String> {
+    ) -> Result<(RunStats, Box<dyn TraceSink>), RunFailure> {
         run_workload_traced(
             self.resolve_workload()?.as_ref(),
             self.policy,
@@ -554,7 +535,7 @@ mod tests {
     fn execute_rejects_unknown_workload() {
         let j = spec("no-such-workload", HtmSystem::Baseline);
         let err = j.execute().unwrap_err();
-        assert!(err.contains("unknown workload"), "{err}");
+        assert!(err.message.contains("unknown workload"), "{err}");
     }
 
     #[test]

@@ -13,10 +13,11 @@
 //!   with each figure's parameter lists declared once.
 //! * [`figures`] — one renderer per table/figure, reading a finished
 //!   run's results ([`figures::Cells`]) and never simulating.
-//! * [`pool::Runner`] — worker pool sized by `available_parallelism`,
-//!   with per-attempt wall-clock timeouts, bounded retries, panic
-//!   isolation, and an optional determinism gate (run twice, demand
-//!   bit-identical statistics).
+//! * [`pool::Runner`] — worker pool sized by `available_parallelism`.
+//!   Each job runs once, inline on its worker under `catch_unwind`, so a
+//!   panic fails that job alone; the simulation's cycle budget is the
+//!   only timeout and nothing is retried. An optional determinism gate
+//!   runs each job twice and demands bit-identical statistics.
 //! * [`cache::DiskCache`] — results under `target/chats-cache/`, keyed
 //!   by job hash and guarded by crate version + canonical config;
 //!   corruption degrades to re-execution.

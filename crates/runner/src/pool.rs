@@ -1,23 +1,24 @@
-//! The worker pool: parallel job execution with timeouts, bounded
-//! retries, panic isolation and an optional determinism gate.
+//! The worker pool: parallel job execution with panic isolation and an
+//! optional determinism gate.
 //!
-//! Each job attempt runs on its own freshly spawned thread so that (a) a
-//! panic inside the simulator is caught and recorded instead of tearing
-//! down the pool, and (b) a wedged simulation can be timed out — the
-//! worker abandons the attempt thread and moves on (the thread keeps the
-//! core until the simulation's own cycle budget trips, but the pool stays
-//! live). Retries are reserved for panics and timeouts; a simulation
-//! *error* (timeout verdict, invariant violation, unknown workload) is
-//! deterministic and re-running it would only burn time.
+//! A job is a pure function of its [`JobSpec`], so it runs one way: once,
+//! inline on the worker that claimed it, under `catch_unwind`. A panic
+//! inside the simulator fails that job alone and the worker moves on; it
+//! is not retried, because re-running a deterministic panic repeats it.
+//! The simulation's own cycle budget is the only timeout. A simulation
+//! *error* (cycle-budget timeout, invariant violation, unknown workload)
+//! is recorded as the job's outcome, with partial statistics when the run
+//! got that far.
 
 use crate::cache::{default_cache_dir, DiskCache};
 use crate::checkpoint::{checkpoint_dir, execute_checkpointed, CheckpointConfig, CommitMeta};
 use crate::job::{JobSet, JobSpec};
 use chats_stats::RunStats;
+use chats_workloads::RunFailure;
 use std::collections::HashMap;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Mutex};
+use std::sync::Mutex;
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -30,11 +31,6 @@ pub struct RunnerConfig {
     pub use_cache: bool,
     /// Cache directory (see [`default_cache_dir`]).
     pub cache_dir: std::path::PathBuf,
-    /// Wall-clock budget per attempt; an attempt past it is abandoned.
-    pub timeout: Duration,
-    /// Attempts per job (first try included); only panics and timeouts
-    /// consume retries.
-    pub max_attempts: u32,
     /// Execute every cache-missing job twice and demand bit-identical
     /// statistics (the determinism gate). Doubles execution cost.
     pub verify_determinism: bool,
@@ -57,8 +53,6 @@ impl Default for RunnerConfig {
             jobs: thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
             use_cache: true,
             cache_dir: default_cache_dir(),
-            timeout: Duration::from_secs(900),
-            max_attempts: 2,
             verify_determinism: false,
             checkpoint_every: None,
             resume: false,
@@ -74,18 +68,16 @@ pub enum JobOutcome {
     Cached,
     /// Executed (and, with the cache enabled, stored).
     Executed,
-    /// Simulation error or exhausted retries after panics; the message
-    /// explains.
+    /// Simulation error or panic; the message explains.
     Failed(String),
-    /// The job ran out of time: either the simulation's own cycle budget
-    /// tripped (deterministic — carries the partial statistics gathered
-    /// up to that point) or every attempt exceeded the wall-clock budget
-    /// (the attempt thread was abandoned, so no statistics survive).
+    /// The simulation's cycle budget tripped. The job is deterministic,
+    /// so it is not re-run; the statistics gathered up to that point
+    /// survive.
     TimedOut {
         /// What ran out and when.
         message: String,
-        /// Statistics at the moment the cycle budget tripped; `None` for
-        /// wall-clock timeouts. Boxed to keep the variant small.
+        /// Statistics at the moment the cycle budget tripped. Boxed to
+        /// keep the variant small.
         partial: Option<Box<RunStats>>,
     },
     /// The determinism gate saw two runs of the same job disagree; the
@@ -145,7 +137,8 @@ pub struct JobRecord {
     pub label: String,
     /// How the job concluded.
     pub outcome: JobOutcome,
-    /// Execution attempts made (0 for cache hits).
+    /// Executions made: 0 for cache hits, 1 for a run, 2 when the
+    /// determinism gate re-ran the job.
     pub attempts: u32,
     /// Wall-clock milliseconds this job occupied its worker.
     pub millis: u64,
@@ -206,7 +199,8 @@ impl RunReport {
             .count()
     }
 
-    /// Retries actually consumed (attempts beyond each job's first).
+    /// Re-runs made by the determinism gate (executions beyond each
+    /// job's first).
     #[must_use]
     pub fn retries(&self) -> u64 {
         self.records
@@ -222,20 +216,9 @@ impl RunReport {
     }
 }
 
-enum Attempt {
-    Success(Box<RunStats>, Option<CommitMeta>),
-    SimError(String),
-    /// The simulation's own cycle budget tripped — deterministic, so
-    /// retrying is pointless, but the machine's partial statistics
-    /// survive.
-    SimTimeout {
-        message: String,
-        partial: Option<Box<RunStats>>,
-    },
-    Panicked(String),
-    /// Wall-clock budget exceeded; the attempt thread was abandoned.
-    TimedOut,
-}
+/// Why the memo lock cannot be poisoned: jobs run, and may panic, only
+/// while it is not held.
+const MEMO_LOCK: &str = "the memo lock is never held while a job runs";
 
 /// The experiment runner: a cache-aware parallel executor for [`JobSet`]s.
 pub struct Runner {
@@ -253,42 +236,6 @@ impl Runner {
             cfg,
             cache,
             memo: Mutex::new(HashMap::new()),
-        }
-    }
-
-    /// A runner with [`RunnerConfig::default`].
-    #[must_use]
-    pub fn with_defaults() -> Runner {
-        Runner::new(RunnerConfig::default())
-    }
-
-    /// The active configuration.
-    #[must_use]
-    pub fn config(&self) -> &RunnerConfig {
-        &self.cfg
-    }
-
-    /// The disk cache this runner reads and writes.
-    #[must_use]
-    pub fn cache(&self) -> &DiskCache {
-        &self.cache
-    }
-
-    /// Resolves a single job — memo, then disk cache, then execution —
-    /// and returns its statistics.
-    ///
-    /// # Errors
-    ///
-    /// Returns the failure message for simulation errors, exhausted
-    /// retries, timeouts and determinism violations.
-    pub fn run_one(&self, spec: &JobSpec) -> Result<RunStats, String> {
-        let (outcome, _attempts, stats, _commit) = self.resolve(spec);
-        match stats {
-            Some(s) => Ok(s),
-            None => Err(outcome.error().map_or_else(
-                || format!("job {} {}", spec.label(), outcome.label()),
-                String::from,
-            )),
         }
     }
 
@@ -312,7 +259,7 @@ impl Runner {
                     let i = next.fetch_add(1, Ordering::Relaxed);
                     let Some(spec) = specs.get(i) else { break };
                     let t0 = Instant::now();
-                    let (outcome, attempts, _stats, commit) = self.resolve(spec);
+                    let (outcome, attempts, commit) = self.resolve(spec);
                     let record = JobRecord {
                         id: spec.id().to_string(),
                         label: spec.label(),
@@ -343,7 +290,7 @@ impl Runner {
                     .expect("worker records every claimed job")
             })
             .collect();
-        let memo = self.memo.lock().unwrap();
+        let memo = self.memo.lock().expect(MEMO_LOCK);
         let results = specs
             .iter()
             .filter_map(|s| {
@@ -368,95 +315,61 @@ impl Runner {
         })
     }
 
-    fn resolve(&self, spec: &JobSpec) -> (JobOutcome, u32, Option<RunStats>, Option<CommitMeta>) {
+    /// Resolves one job: memo, then disk cache, then one execution on
+    /// the calling worker. A successful job's statistics land in the
+    /// memo; returns the outcome, the executions made and the job's
+    /// commitment bookkeeping.
+    fn resolve(&self, spec: &JobSpec) -> (JobOutcome, u32, Option<CommitMeta>) {
         let id = spec.id().0;
-        if let Some(stats) = self.memo.lock().unwrap().get(&id) {
-            return (JobOutcome::Cached, 0, Some(stats.clone()), None);
+        if self.memo.lock().expect(MEMO_LOCK).contains_key(&id) {
+            return (JobOutcome::Cached, 0, None);
         }
         if self.cfg.use_cache {
             if let Some(stats) = self.cache.load(spec) {
-                self.memo.lock().unwrap().insert(id, stats.clone());
-                return (JobOutcome::Cached, 0, Some(stats), None);
+                self.memo.lock().expect(MEMO_LOCK).insert(id, stats);
+                return (JobOutcome::Cached, 0, None);
             }
         }
-        let ckpt = self.checkpoint_config();
-        let mut attempts = 0;
-        loop {
-            attempts += 1;
-            match attempt_once(spec, self.cfg.timeout, ckpt.as_ref()) {
-                Attempt::Success(stats, commit) => {
-                    if self.cfg.verify_determinism {
-                        attempts += 1;
-                        if let Some(why) = self.determinism_divergence(spec, &stats) {
-                            return (JobOutcome::DeterminismViolation(why), attempts, None, None);
-                        }
-                    }
-                    if self.cfg.use_cache {
-                        if let Err(e) = self.cache.store(spec, &stats) {
-                            eprintln!(
-                                "chats-runner: warning: could not cache {} ({e})",
-                                spec.label()
-                            );
-                        }
-                    }
-                    self.memo.lock().unwrap().insert(id, (*stats).clone());
-                    return (JobOutcome::Executed, attempts, Some(*stats), commit);
-                }
-                Attempt::SimError(e) => return (JobOutcome::Failed(e), attempts, None, None),
-                Attempt::SimTimeout { message, partial } => {
-                    return (
-                        JobOutcome::TimedOut { message, partial },
-                        attempts,
-                        None,
-                        None,
-                    )
-                }
-                Attempt::Panicked(msg) => {
-                    if attempts >= self.cfg.max_attempts {
-                        return (
-                            JobOutcome::Failed(format!(
-                                "panicked after {attempts} attempts: {msg}"
-                            )),
-                            attempts,
-                            None,
-                            None,
-                        );
-                    }
-                }
-                Attempt::TimedOut => {
-                    if attempts >= self.cfg.max_attempts {
-                        return (
-                            JobOutcome::TimedOut {
-                                message: format!(
-                                    "every attempt exceeded the {}s wall-clock budget",
-                                    self.cfg.timeout.as_secs()
-                                ),
-                                partial: None,
-                            },
-                            attempts,
-                            None,
-                            None,
-                        );
-                    }
-                }
+        let (stats, commit) = match execute_once(spec, self.checkpoint_config().as_ref()) {
+            Ok(done) => done,
+            Err(fail) if fail.timed_out => {
+                let outcome = JobOutcome::TimedOut {
+                    message: fail.message,
+                    partial: fail.partial,
+                };
+                return (outcome, 1, None);
+            }
+            Err(fail) => return (JobOutcome::Failed(fail.message), 1, None),
+        };
+        let executions = 1 + u32::from(self.cfg.verify_determinism);
+        if self.cfg.verify_determinism {
+            if let Some(why) = determinism_divergence(spec, &stats) {
+                return (JobOutcome::DeterminismViolation(why), executions, None);
             }
         }
+        if self.cfg.use_cache {
+            if let Err(e) = self.cache.store(spec, &stats) {
+                eprintln!(
+                    "chats-runner: warning: could not cache {} ({e})",
+                    spec.label()
+                );
+            }
+        }
+        self.memo.lock().expect(MEMO_LOCK).insert(id, stats);
+        (JobOutcome::Executed, executions, commit)
     }
+}
 
-    /// Re-executes `spec` and describes the divergence from `first`, or
-    /// `None` when the re-run reproduced it bit-for-bit.
-    fn determinism_divergence(&self, spec: &JobSpec, first: &RunStats) -> Option<String> {
-        // The re-run is deliberately un-checkpointed: a straight-through
-        // execution matching a paused-and-snapshotted one is a stronger
-        // determinism statement than running the same path twice.
-        match attempt_once(spec, self.cfg.timeout, None) {
-            Attempt::Success(second, _) if *second == *first => None,
-            Attempt::Success(second, _) => Some(first_divergence(first, &second)),
-            Attempt::SimError(e) => Some(format!("re-run errored: {e}")),
-            Attempt::SimTimeout { message, .. } => Some(format!("re-run timed out: {message}")),
-            Attempt::Panicked(msg) => Some(format!("re-run panicked: {msg}")),
-            Attempt::TimedOut => Some("re-run timed out".to_string()),
-        }
+/// Re-executes `spec` and describes the divergence from `first`, or
+/// `None` when the re-run reproduced it bit-for-bit.
+fn determinism_divergence(spec: &JobSpec, first: &RunStats) -> Option<String> {
+    // The re-run is deliberately un-checkpointed: a straight-through
+    // execution matching a paused-and-snapshotted one is a stronger
+    // determinism statement than running the same path twice.
+    match execute_once(spec, None) {
+        Ok((second, _)) if second == *first => None,
+        Ok((second, _)) => Some(first_divergence(first, &second)),
+        Err(fail) => Some(format!("re-run failed: {}", fail.message)),
     }
 }
 
@@ -479,45 +392,24 @@ fn first_divergence(a: &RunStats, b: &RunStats) -> String {
     "two runs disagree".to_string()
 }
 
-/// One execution attempt on a dedicated thread: panics are caught,
-/// overruns abandon the thread. With a checkpoint policy the attempt
-/// pauses and snapshots at every stride — an abandoned thread's last
-/// checkpoint survives on disk, which is exactly what `--resume` picks
-/// up later.
-fn attempt_once(spec: &JobSpec, timeout: Duration, ckpt: Option<&CheckpointConfig>) -> Attempt {
-    let (tx, rx) = mpsc::channel();
-    let owned = spec.clone();
-    let ckpt = ckpt.cloned();
-    let spawned = thread::Builder::new()
-        .name(format!("chats-job-{}", owned.id()))
-        .spawn(move || {
-            let result = panic::catch_unwind(AssertUnwindSafe(|| match &ckpt {
-                Some(c) => execute_checkpointed(&owned, c).map(|(stats, meta)| (stats, Some(meta))),
-                None => owned.execute_partial().map(|stats| (stats, None)),
-            }));
-            let _ = tx.send(result);
-        });
-    let handle = match spawned {
-        Ok(h) => h,
-        Err(e) => return Attempt::SimError(format!("could not spawn job thread: {e}")),
-    };
-    match rx.recv_timeout(timeout) {
-        Ok(run) => {
-            let _ = handle.join();
-            match run {
-                Ok(Ok((stats, meta))) => Attempt::Success(Box::new(stats), meta),
-                Ok(Err(fail)) if fail.timed_out => Attempt::SimTimeout {
-                    message: fail.message,
-                    partial: fail.partial,
-                },
-                Ok(Err(fail)) => Attempt::SimError(fail.message),
-                Err(payload) => Attempt::Panicked(panic_message(payload.as_ref())),
-            }
-        }
-        // The attempt thread is deliberately leaked: it parks on the dead
-        // channel once the simulation finally returns.
-        Err(_) => Attempt::TimedOut,
-    }
+/// Executes `spec` once on the calling thread, paused and snapshotted
+/// at every stride when `ckpt` is set. A panic inside the simulator is
+/// caught and becomes a `panicked: ...` failure, so it fails this job
+/// and never the pool.
+fn execute_once(
+    spec: &JobSpec,
+    ckpt: Option<&CheckpointConfig>,
+) -> Result<(RunStats, Option<CommitMeta>), RunFailure> {
+    panic::catch_unwind(AssertUnwindSafe(|| match ckpt {
+        Some(c) => execute_checkpointed(spec, c).map(|(stats, meta)| (stats, Some(meta))),
+        None => spec.execute().map(|stats| (stats, None)),
+    }))
+    .unwrap_or_else(|payload| {
+        Err(RunFailure::from(format!(
+            "panicked: {}",
+            panic_message(payload.as_ref())
+        )))
+    })
 }
 
 /// The message of a caught panic payload (`panic!` with a literal or a
@@ -564,10 +456,10 @@ mod tests {
             PolicyConfig::for_system(HtmSystem::Baseline),
             RunConfig::quick_test(),
         );
-        let (outcome, attempts, stats, _) = r.resolve(&spec);
+        let (outcome, attempts, _) = r.resolve(&spec);
         assert_eq!(outcome.label(), "failed");
-        assert_eq!(attempts, 1, "simulation errors must not consume retries");
-        assert!(stats.is_none());
+        assert_eq!(attempts, 1, "a simulation error is not retried");
+        assert!(r.memo.lock().unwrap().is_empty());
         assert!(outcome.error().unwrap().contains("unknown workload"));
     }
 
@@ -594,8 +486,31 @@ mod tests {
         assert!(!report.all_succeeded());
         assert!(report.stats_for(&spec).is_some());
         // Second resolution of the same job is a memo hit.
-        let (outcome, _, _, _) = r.resolve(&spec);
+        let (outcome, _, _) = r.resolve(&spec);
         assert_eq!(outcome, JobOutcome::Cached);
+    }
+
+    #[test]
+    fn a_panicking_job_fails_once_and_spares_its_sibling() {
+        let dir = tmp_dir("panic");
+        let r = quiet_runner(&dir, false);
+        let chats = PolicyConfig::for_system(HtmSystem::Chats);
+        // `Machine::new` panics on a VSB with no entries.
+        let panics = JobSpec::new("cadd", chats.with_vsb_size(0), RunConfig::quick_test());
+        let sibling = JobSpec::new("cadd", chats, RunConfig::quick_test());
+        let set: JobSet = [panics.clone(), sibling.clone()].into_iter().collect();
+        let report = r.run_set(&set);
+        let failed = &report.records[0];
+        assert_eq!(failed.outcome.label(), "failed");
+        assert_eq!(failed.attempts, 1, "a deterministic panic is not retried");
+        let why = failed.outcome.error().unwrap();
+        assert!(why.starts_with("panicked: "), "{why}");
+        assert!(why.contains("VSB needs at least one entry"), "{why}");
+        assert!(report.stats_for(&panics).is_none());
+        assert_eq!(report.records[1].outcome, JobOutcome::Executed);
+        assert_eq!(report.records[1].attempts, 1);
+        assert!(report.stats_for(&sibling).is_some());
+        assert_eq!(report.retries(), 0);
     }
 
     #[test]
@@ -605,13 +520,16 @@ mod tests {
         let mut cfg = RunConfig::quick_test();
         cfg.max_cycles = 50; // far too small for any workload to finish
         let spec = JobSpec::new("cadd", PolicyConfig::for_system(HtmSystem::Chats), cfg);
-        let (outcome, attempts, stats, _) = r.resolve(&spec);
+        let (outcome, attempts, _) = r.resolve(&spec);
         assert_eq!(outcome.label(), "timed-out");
         assert_eq!(
             attempts, 1,
             "a cycle-budget timeout is deterministic; retrying only burns time"
         );
-        assert!(stats.is_none(), "timeouts never enter the result set");
+        assert!(
+            r.memo.lock().unwrap().is_empty(),
+            "timeouts never enter the result set"
+        );
         let partial = outcome.partial_stats().expect("partial stats survive");
         assert!(partial.cycles >= 50, "cycles records where the run stopped");
         assert!(outcome.error().unwrap().contains("timed out"));

@@ -45,7 +45,7 @@ fn traced_run(tag: &str, cfg: &RunConfig) -> (u64, u64, u64) {
     let _ = fs::remove_file(&path);
     let sink = JsonlSink::create(&path).expect("create trace file");
     let w = registry::by_name("cadd").expect("cadd registered");
-    let (out, _sink) = run_workload_traced(
+    let (stats, _sink) = run_workload_traced(
         w.as_ref(),
         PolicyConfig::for_system(HtmSystem::Chats),
         cfg,
@@ -55,7 +55,7 @@ fn traced_run(tag: &str, cfg: &RunConfig) -> (u64, u64, u64) {
     let bytes = fs::read(&path).expect("trace file readable");
     let _ = fs::remove_file(&path);
     assert!(!bytes.is_empty(), "trace must not be empty");
-    (fnv1a_64(&bytes), out.stats.cycles, out.stats.events)
+    (fnv1a_64(&bytes), stats.cycles, stats.events)
 }
 
 /// Runs both jobs through the worker pool (cache off) and canonicalizes

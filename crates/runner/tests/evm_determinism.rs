@@ -15,7 +15,7 @@ use chats_workloads::{run_workload_traced, RunConfig, Workload};
 /// FNV-1a over the rendered event stream plus the final cycle count:
 /// equal pairs mean byte-identical traces.
 fn trace_hash(w: &dyn Workload, system: HtmSystem, cfg: &RunConfig) -> (u64, u64) {
-    let (out, sink) = run_workload_traced(
+    let (stats, sink) = run_workload_traced(
         w,
         PolicyConfig::for_system(system),
         cfg,
@@ -26,7 +26,7 @@ fn trace_hash(w: &dyn Workload, system: HtmSystem, cfg: &RunConfig) -> (u64, u64
         .iter()
         .map(|e| format!("{e}\n"))
         .collect();
-    (fnv1a_64(text.as_bytes()), out.stats.cycles)
+    (fnv1a_64(text.as_bytes()), stats.cycles)
 }
 
 fn run_pool(set: &JobSet, jobs: usize) -> RunReport {

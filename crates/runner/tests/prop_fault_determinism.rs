@@ -14,7 +14,7 @@ use proptest::prelude::*;
 /// emitted byte-identical traces.
 fn trace_hash(workload: &str, system: HtmSystem, cfg: &RunConfig) -> (u64, u64) {
     let w = registry::by_name(workload).expect("known workload");
-    let (out, sink) = run_workload_traced(
+    let (stats, sink) = run_workload_traced(
         w.as_ref(),
         PolicyConfig::for_system(system),
         cfg,
@@ -25,7 +25,7 @@ fn trace_hash(workload: &str, system: HtmSystem, cfg: &RunConfig) -> (u64, u64) 
         .iter()
         .map(|e| format!("{e}\n"))
         .collect();
-    (fnv1a_64(text.as_bytes()), out.stats.cycles)
+    (fnv1a_64(text.as_bytes()), stats.cycles)
 }
 
 /// Canonicalized manifest rendering (wall-clock fields stripped), shared

@@ -183,6 +183,18 @@ fn unknown_set_and_empty_filter_fail_cleanly() {
     assert_eq!(no_match.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&no_match.stderr).contains("no jobs match"));
 
+    // A job runs once and its cycle budget is its only timeout: there is
+    // no retry count and no wall-clock budget to set.
+    for flag in ["--retries", "--timeout", "--timeout-secs"] {
+        let out = chats_run(&root, &["run", "chains", "--smoke", flag, "5"]);
+        assert_eq!(out.status.code(), Some(2), "{flag}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("unknown option '{flag}'")),
+            "{stderr}"
+        );
+    }
+
     // The usage text printed on a bad command lists every set id.
     let bad_command = chats_run(&root, &["frobnicate"]);
     assert_eq!(bad_command.status.code(), Some(2));
@@ -299,5 +311,43 @@ fn trace_records_reports_and_exports_a_labelled_job() {
     assert_eq!(bad.status.code(), Some(2));
     let stderr = String::from_utf8_lossy(&bad.stderr);
     assert!(stderr.contains("'cadd/chats:rx'"), "{stderr}");
+    let _ = fs::remove_dir_all(&root);
+}
+
+/// Bad input exits 2, as in every other binary, and writes nothing; a
+/// failure past the command line (here a trace file that does not
+/// exist) exits 1.
+#[test]
+fn trace_bad_input_exits_2_and_a_failed_command_exits_1() {
+    let root = temp_root("trace-input");
+    let missing = root.join("missing.jsonl");
+    let m = missing.to_str().unwrap();
+    let cases: [(&[&str], &str); 7] = [
+        (
+            &["record", "--smoke", "--out", m],
+            "record needs a job label",
+        ),
+        (&["record", "cadd/chats", "--smoke"], "record needs --out"),
+        (&["report"], "report needs --trace"),
+        (&["export", "--out", m], "export needs --trace"),
+        (&["export", "--trace", m], "export needs --out"),
+        (
+            &["report", "cadd/chats", "--trace", m],
+            "unknown argument 'cadd/chats'",
+        ),
+        (&["frobnicate"], "unknown command 'frobnicate'"),
+    ];
+    for (args, says) in cases {
+        let out = chats_trace(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(says), "{args:?}: {stderr}");
+    }
+    assert!(!missing.exists(), "bad input must not write the trace");
+
+    let failed = chats_trace(&["report", "--trace", m]);
+    assert_eq!(failed.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&failed.stderr);
+    assert!(stderr.contains("missing.jsonl"), "{stderr}");
     let _ = fs::remove_dir_all(&root);
 }

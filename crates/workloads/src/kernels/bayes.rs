@@ -174,7 +174,6 @@ mod tests {
             &RunConfig::quick_test().with_seed(1),
         )
         .unwrap()
-        .stats
         .cycles;
         let b = run_workload(
             &Bayes::new(),
@@ -182,7 +181,6 @@ mod tests {
             &RunConfig::quick_test().with_seed(2),
         )
         .unwrap()
-        .stats
         .cycles;
         assert_ne!(a, b, "bayes runs should vary with the seed");
     }

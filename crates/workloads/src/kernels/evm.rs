@@ -187,8 +187,8 @@ mod tests {
     fn one_commit_per_user_transaction() {
         let w = small(EvmWorkload::token_storm());
         let cfg = RunConfig::quick_test();
-        let out = run_workload(&w, PolicyConfig::for_system(HtmSystem::Chats), &cfg).unwrap();
-        assert_eq!(out.stats.commits, cfg.threads as u64 * w.txs_per_thread());
+        let stats = run_workload(&w, PolicyConfig::for_system(HtmSystem::Chats), &cfg).unwrap();
+        assert_eq!(stats.commits, cfg.threads as u64 * w.txs_per_thread());
     }
 
     #[test]

@@ -85,13 +85,9 @@ pub(crate) mod testutil {
     pub fn smoke(w: &dyn Workload, systems: &[HtmSystem]) {
         for &s in systems {
             let cfg = RunConfig::quick_test();
-            let out = run_workload(w, PolicyConfig::for_system(s), &cfg)
+            let stats = run_workload(w, PolicyConfig::for_system(s), &cfg)
                 .unwrap_or_else(|e| panic!("{e}"));
-            assert!(
-                out.stats.commits > 0,
-                "{} under {s:?}: no commits",
-                w.name()
-            );
+            assert!(stats.commits > 0, "{} under {s:?}: no commits", w.name());
         }
     }
 

@@ -120,16 +120,16 @@ mod tests {
     fn ssca2_has_negligible_aborts() {
         use crate::spec::{run_workload, RunConfig};
         use chats_core::{HtmSystem, PolicyConfig};
-        let out = run_workload(
+        let stats = run_workload(
             &Ssca2::new(),
             PolicyConfig::for_system(HtmSystem::Baseline),
             &RunConfig::quick_test(),
         )
         .unwrap();
         assert!(
-            out.stats.total_aborts() <= 10,
+            stats.total_aborts() <= 10,
             "ssca2 must be almost conflict-free, got {} aborts",
-            out.stats.total_aborts()
+            stats.total_aborts()
         );
     }
 }

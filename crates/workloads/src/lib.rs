@@ -35,8 +35,8 @@
 //!
 //! let w = registry::by_name("kmeans-h").unwrap();
 //! let cfg = RunConfig::quick_test();
-//! let out = run_workload(w.as_ref(), PolicyConfig::for_system(HtmSystem::Chats), &cfg).unwrap();
-//! assert!(out.stats.commits > 0);
+//! let stats = run_workload(w.as_ref(), PolicyConfig::for_system(HtmSystem::Chats), &cfg).unwrap();
+//! assert!(stats.commits > 0);
 //! ```
 
 pub mod kernels;
@@ -49,7 +49,6 @@ pub use replay::{ThreadTrace, TraceOp, TraceWorkload};
 // `chats-machine` (or `chats-faults`) dependency.
 pub use chats_machine::FaultPlan;
 pub use spec::{
-    finish_run, prepare_run, run_workload, run_workload_partial, run_workload_traced, Checker,
-    MemRegion, PreparedRun, RunConfig, RunFailure, RunOutput, ThreadProgram, Workload,
-    WorkloadSetup,
+    finish_run, prepare_run, run_workload, run_workload_traced, Checker, MemRegion, PreparedRun,
+    RunConfig, RunFailure, ThreadProgram, Workload, WorkloadSetup,
 };

@@ -352,9 +352,9 @@ mod tests {
                 .with_expectation(1, 6);
             let mut cfg = RunConfig::quick_test();
             cfg.threads = 2;
-            let out = run_workload(&w, PolicyConfig::for_system(sys), &cfg)
+            let stats = run_workload(&w, PolicyConfig::for_system(sys), &cfg)
                 .unwrap_or_else(|e| panic!("{e}"));
-            assert_eq!(out.stats.commits, 2, "{sys:?}");
+            assert_eq!(stats.commits, 2, "{sys:?}");
         }
     }
 

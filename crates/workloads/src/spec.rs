@@ -157,13 +157,6 @@ impl RunConfig {
     }
 }
 
-/// Result of one workload run.
-#[derive(Debug, Clone)]
-pub struct RunOutput {
-    /// The statistics gathered by the machine.
-    pub stats: RunStats,
-}
-
 /// A failed workload run: the reason, plus whatever statistics the
 /// machine had gathered when it stopped — so a timed-out or stalled job
 /// can still be reported with its partial progress instead of nothing.
@@ -185,36 +178,34 @@ impl std::fmt::Display for RunFailure {
     }
 }
 
+impl std::error::Error for RunFailure {}
+
+/// A failure before any simulation ran (an unknown workload name, say):
+/// no partial statistics, no timeout.
+impl From<String> for RunFailure {
+    fn from(message: String) -> RunFailure {
+        RunFailure {
+            message,
+            partial: None,
+            timed_out: false,
+        }
+    }
+}
+
 /// Instantiates `workload`, runs it under `policy`, checks its invariant
 /// and returns the statistics.
 ///
 /// # Errors
 ///
-/// Returns an error string on simulation timeout/deadlock or invariant
-/// violation (an HTM correctness bug).
+/// Returns a [`RunFailure`], with the statistics gathered so far, on
+/// simulation timeout/deadlock/watchdog stall or invariant violation
+/// (an HTM correctness bug).
 pub fn run_workload(
     workload: &dyn Workload,
     policy: PolicyConfig,
     cfg: &RunConfig,
-) -> Result<RunOutput, String> {
-    run_machine(workload, policy, cfg, None)
-        .map(|(out, _)| out)
-        .map_err(|fail| fail.message)
-}
-
-/// Like [`run_workload`], but failures keep their partial statistics
-/// (see [`RunFailure`]).
-///
-/// # Errors
-///
-/// Returns a [`RunFailure`] on simulation timeout/deadlock/watchdog stall
-/// or invariant violation.
-pub fn run_workload_partial(
-    workload: &dyn Workload,
-    policy: PolicyConfig,
-    cfg: &RunConfig,
-) -> Result<RunOutput, RunFailure> {
-    run_machine(workload, policy, cfg, None).map(|(out, _)| out)
+) -> Result<RunStats, RunFailure> {
+    run_machine(workload, policy, cfg, None).map(|(stats, _)| stats)
 }
 
 /// Like [`run_workload`], but routes every protocol trace event into
@@ -223,17 +214,15 @@ pub fn run_workload_partial(
 ///
 /// # Errors
 ///
-/// Returns an error string on simulation timeout/deadlock or invariant
-/// violation (an HTM correctness bug). The sink is lost on error.
+/// Same as [`run_workload`]. The sink is lost on error.
 pub fn run_workload_traced(
     workload: &dyn Workload,
     policy: PolicyConfig,
     cfg: &RunConfig,
     sink: Box<dyn TraceSink>,
-) -> Result<(RunOutput, Box<dyn TraceSink>), String> {
+) -> Result<(RunStats, Box<dyn TraceSink>), RunFailure> {
     run_machine(workload, policy, cfg, Some(sink))
-        .map(|(out, sink)| (out, sink.expect("machine returns the installed sink")))
-        .map_err(|fail| fail.message)
+        .map(|(stats, sink)| (stats, sink.expect("machine returns the installed sink")))
 }
 
 /// A machine built and loaded for one `(workload, policy, config)` run,
@@ -338,7 +327,7 @@ fn run_machine(
     policy: PolicyConfig,
     cfg: &RunConfig,
     sink: Option<Box<dyn TraceSink>>,
-) -> Result<(RunOutput, Option<Box<dyn TraceSink>>), RunFailure> {
+) -> Result<(RunStats, Option<Box<dyn TraceSink>>), RunFailure> {
     let PreparedRun {
         machine: mut m,
         checker,
@@ -348,6 +337,5 @@ fn run_machine(
     }
     let outcome = m.run(cfg.max_cycles);
     let stats = finish_run(workload.name(), policy.system, &m, &checker, outcome)?;
-    let sink = m.take_trace_sink();
-    Ok((RunOutput { stats }, sink))
+    Ok((stats, m.take_trace_sink()))
 }

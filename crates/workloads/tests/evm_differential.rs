@@ -29,7 +29,7 @@ fn scenarios() -> [EvmWorkload; 3] {
 fn check_matrix(cfg: &RunConfig) {
     for w in scenarios() {
         for s in HtmSystem::ALL {
-            let out = run_workload(&w, PolicyConfig::for_system(s), cfg)
+            let stats = run_workload(&w, PolicyConfig::for_system(s), cfg)
                 .unwrap_or_else(|e| panic!("{}/{}: {e}", w.name(), s.label()));
             // No lost and no phantom user transaction: each stream
             // entry completes exactly once — as a commit, or (on the
@@ -37,9 +37,9 @@ fn check_matrix(cfg: &RunConfig) {
             // execution. Power-token grants retry *transactionally*, so
             // there every completion is a commit.
             let done = if s.uses_power_token() {
-                out.stats.commits
+                stats.commits
             } else {
-                out.stats.commits + out.stats.fallback_acquisitions
+                stats.commits + stats.fallback_acquisitions
             };
             assert_eq!(done, cfg.threads as u64 * TXS, "{}/{}", w.name(), s.label());
         }

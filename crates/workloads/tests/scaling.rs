@@ -13,7 +13,6 @@ fn commits_of(w: &dyn Workload) -> u64 {
     let cfg = RunConfig::quick_test();
     run_workload(w, PolicyConfig::for_system(HtmSystem::Chats), &cfg)
         .unwrap_or_else(|e| panic!("{e}"))
-        .stats
         .commits
 }
 

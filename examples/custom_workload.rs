@@ -104,9 +104,8 @@ fn main() {
         "system", "cycles", "commits", "aborts", "forwardings"
     );
     for system in HtmSystem::ALL {
-        let out = run_workload(&Bank, PolicyConfig::for_system(system), &cfg)
+        let s = run_workload(&Bank, PolicyConfig::for_system(system), &cfg)
             .expect("transfers conserve money under every HTM system");
-        let s = out.stats;
         println!(
             "{:<12} {:>10} {:>8} {:>8} {:>12}",
             system.label(),

@@ -31,13 +31,11 @@ fn main() {
             &cfg,
         )
         .expect("baseline runs")
-        .stats
         .cycles as f64;
         let mut vals = Vec::new();
         for (k, &sys) in systems.iter().enumerate() {
             let s = run_workload(w.as_ref(), PolicyConfig::for_system(sys), &cfg)
-                .expect("simulation runs")
-                .stats;
+                .expect("simulation runs");
             let v = s.cycles as f64 / base;
             if !w.is_micro() {
                 per_system[k].push(v);
@@ -69,7 +67,7 @@ fn main() {
         .to_vec(),
     );
     for &sys in systems.iter() {
-        let (out, sink) = run_workload_traced(
+        let (stats, sink) = run_workload_traced(
             anatomy.as_ref(),
             PolicyConfig::for_system(sys),
             &cfg,
@@ -77,7 +75,7 @@ fn main() {
         )
         .expect("traced run completes");
         let events = VecSink::into_events(sink);
-        let tl = Timeline::rebuild(&events, out.stats.cycles);
+        let tl = Timeline::rebuild(&events, stats.cycles);
         let agg = tl.aggregate();
         let total = agg.total().max(1) as f64;
         let pct = |v: u64| format!("{:.1}%", 100.0 * v as f64 / total);

@@ -16,8 +16,8 @@ fn main() {
     let mut rows = Vec::new();
     for system in [HtmSystem::Baseline, HtmSystem::Chats] {
         let policy = PolicyConfig::for_system(system);
-        let out = run_workload(workload.as_ref(), policy, &cfg).expect("simulation runs");
-        rows.push((system, out.stats));
+        let stats = run_workload(workload.as_ref(), policy, &cfg).expect("simulation runs");
+        rows.push((system, stats));
     }
 
     let base_cycles = rows[0].1.cycles as f64;

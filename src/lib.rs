@@ -32,11 +32,9 @@
 //! let cfg = RunConfig::quick_test();
 //! let w = registry::by_name("kmeans-h").unwrap();
 //! let base = run_workload(w.as_ref(), PolicyConfig::for_system(HtmSystem::Baseline), &cfg)
-//!     .unwrap()
-//!     .stats;
+//!     .unwrap();
 //! let chats = run_workload(w.as_ref(), PolicyConfig::for_system(HtmSystem::Chats), &cfg)
-//!     .unwrap()
-//!     .stats;
+//!     .unwrap();
 //! assert!(chats.forwardings > 0, "CHATS forwards speculative values");
 //! assert!(base.forwardings == 0, "the baseline never does");
 //! ```
