@@ -21,12 +21,12 @@
 //! produce identical manifests.
 
 use crate::repro::Reproducer;
-use crate::run::{run_scenario, FailureKind, Outcome, RunResult};
+use crate::run::{run_scenario, trace_scenario, FailureKind, Outcome, RunResult};
 use crate::scenario::Scenario;
-use crate::schedule::{Attack, Schedule};
+use crate::schedule::{choices, Attack, Schedule};
 use crate::shrink::{shrink, ShrinkStats};
 use chats_runner::Json;
-use chats_sim::DecisionKind;
+use chats_sim::{DecisionKind, DecisionRecord};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
@@ -185,21 +185,19 @@ fn walk_seed(scenario: &Scenario, w: usize) -> u64 {
         .wrapping_add((w as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15))
 }
 
-/// The flip schedules derived from a baseline run, in priority order.
-fn flip_schedules(base: &RunResult, budget: usize) -> Vec<Schedule> {
-    let choices = base.choices();
+/// The flip schedules derived from a baseline trace, in priority order.
+fn flip_schedules(base: &[DecisionRecord], budget: usize) -> Vec<Schedule> {
+    let choices = choices(base);
     // Indices with real fan-out, protocol decisions before tie-breaks.
-    let mut candidates: Vec<usize> = (0..base.decisions.len())
-        .filter(|&i| base.decisions[i].choices > 1)
-        .collect();
+    let mut candidates: Vec<usize> = (0..base.len()).filter(|&i| base[i].choices > 1).collect();
     candidates.sort_by_key(|&i| {
-        let protocol = base.decisions[i].kind != DecisionKind::TieBreak;
+        let protocol = base[i].kind != DecisionKind::TieBreak;
         (if protocol { 0u8 } else { 1u8 }, i)
     });
     let mut out = Vec::new();
     'outer: for i in candidates {
-        for alt in 1..base.decisions[i].choices {
-            if alt == base.decisions[i].chosen {
+        for alt in 1..base[i].choices {
+            if alt == base[i].chosen {
                 continue;
             }
             if out.len() >= budget {
@@ -213,16 +211,17 @@ fn flip_schedules(base: &RunResult, budget: usize) -> Vec<Schedule> {
     out
 }
 
-/// Handles a failing run: shrink, save a reproducer, build the report
-/// entry.
+/// Handles a failing run and its decision trace: shrink, save a
+/// reproducer, build the report entry.
 fn handle_failure(
     scenario: &Scenario,
     schedule: &Schedule,
     result: &RunResult,
+    trace: &[DecisionRecord],
     kind: FailureKind,
     failures_dir: Option<&Path>,
 ) -> FoundFailure {
-    let (shrunk, stats) = shrink(scenario, &result.choices(), kind);
+    let (shrunk, stats) = shrink(scenario, &choices(trace), kind);
     let note = format!(
         "found by {}; shrunk {} -> {} decisions ({} non-default)",
         schedule.describe(),
@@ -264,15 +263,17 @@ pub fn explore_scenario(
         failure: None,
     };
 
-    let base = run_scenario(scenario, &Schedule::baseline());
+    // The baseline's trace is kept: the flip stage perturbs it.
+    let (base, base_trace) = trace_scenario(scenario, &Schedule::baseline());
     report.runs += 1;
     report.base_digest = base.image_digest;
-    report.base_decisions = base.decisions.len();
+    report.base_decisions = base_trace.len();
     if let Outcome::Fail(kind) = base.outcome {
         report.failure = Some(handle_failure(
             scenario,
             &Schedule::baseline(),
             &base,
+            &base_trace,
             kind,
             failures_dir,
         ));
@@ -284,8 +285,12 @@ pub fn explore_scenario(
         schedules.extend(Attack::ALL.into_iter().map(Schedule::attack));
     }
     schedules.extend((0..budget.walks).map(|w| Schedule::random(walk_seed(scenario, w))));
-    schedules.extend(flip_schedules(&base, budget.flips));
+    schedules.extend(flip_schedules(&base_trace, budget.flips));
+    drop(base_trace);
 
+    // Every other schedule is judged without a trace. Runs are
+    // deterministic, so a failing one is replayed with a recorder to get
+    // the trace shrinking needs.
     for schedule in schedules {
         let result = run_scenario(scenario, &schedule);
         report.runs += 1;
@@ -293,10 +298,19 @@ pub fn explore_scenario(
             Outcome::Pass => {}
             Outcome::Inconclusive(_) => report.inconclusive += 1,
             Outcome::Fail(kind) => {
+                let (traced, trace) = trace_scenario(scenario, &schedule);
+                assert_eq!(
+                    traced.outcome,
+                    result.outcome,
+                    "{}: {} judged differently when replayed with a recorder",
+                    scenario.name,
+                    schedule.describe()
+                );
                 report.failure = Some(handle_failure(
                     scenario,
                     &schedule,
-                    &result,
+                    &traced,
+                    &trace,
                     kind,
                     failures_dir,
                 ));
@@ -342,7 +356,6 @@ pub fn explore(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use chats_sim::DecisionRecord;
 
     fn rec(kind: DecisionKind, choices: u32, chosen: u32) -> DecisionRecord {
         DecisionRecord {
@@ -354,19 +367,11 @@ mod tests {
 
     #[test]
     fn flip_schedules_prioritize_protocol_decisions() {
-        let base = RunResult {
-            outcome: Outcome::Pass,
-            violations: Vec::new(),
-            sum: 0,
-            expected: 0,
-            image_digest: 0,
-            decisions: vec![
-                rec(DecisionKind::TieBreak, 3, 0),
-                rec(DecisionKind::ConflictAction, 3, 0),
-                rec(DecisionKind::CommitRelease, 2, 0),
-            ],
-            detail: String::new(),
-        };
+        let base = [
+            rec(DecisionKind::TieBreak, 3, 0),
+            rec(DecisionKind::ConflictAction, 3, 0),
+            rec(DecisionKind::CommitRelease, 2, 0),
+        ];
         let flips = flip_schedules(&base, 10);
         // conflict (2 alts) + commit (1 alt) + tiebreak (2 alts) = 5
         assert_eq!(flips.len(), 5);
@@ -379,15 +384,8 @@ mod tests {
 
     #[test]
     fn flip_budget_is_respected() {
-        let base = RunResult {
-            outcome: Outcome::Pass,
-            violations: Vec::new(),
-            sum: 0,
-            expected: 0,
-            image_digest: 0,
-            decisions: (0..50).map(|_| rec(DecisionKind::TieBreak, 4, 0)).collect(),
-            detail: String::new(),
-        };
+        let base: Vec<DecisionRecord> =
+            (0..50).map(|_| rec(DecisionKind::TieBreak, 4, 0)).collect();
         assert_eq!(flip_schedules(&base, 7).len(), 7);
     }
 

@@ -28,14 +28,16 @@
 //! # Example
 //!
 //! ```
-//! use chats_check::{run_scenario, Outcome, Schedule, smoke_scenarios};
+//! use chats_check::{choices, run_scenario, trace_scenario, Outcome, Schedule, smoke_scenarios};
 //!
 //! let scenario = &smoke_scenarios()[0];
+//! // A run is judged without a trace; the schedule replays it.
 //! let baseline = run_scenario(scenario, &Schedule::baseline());
 //! assert_eq!(baseline.outcome, Outcome::Pass);
-//! // The full decision trace replays bit-exactly.
-//! let again = run_scenario(scenario, &Schedule::replay(baseline.choices()));
-//! assert_eq!(again.image_digest, baseline.image_digest);
+//! // A recorded decision trace replays bit-exactly too.
+//! let (walked, trace) = trace_scenario(scenario, &Schedule::random(7));
+//! let again = run_scenario(scenario, &Schedule::replay(choices(&trace)));
+//! assert_eq!(again.image_digest, walked.image_digest);
 //! ```
 
 pub mod dissect;
@@ -52,7 +54,7 @@ pub use dissect::{
 };
 pub use explore::{explore, explore_scenario, ExploreBudget, ExploreReport, ScenarioReport};
 pub use repro::{default_failures_dir, Reproducer};
-pub use run::{image_digest, run_scenario, FailureKind, Outcome, RunResult};
+pub use run::{image_digest, run_scenario, trace_scenario, FailureKind, Outcome, RunResult};
 pub use scenario::{apply_fault_plan, full_scenarios, smoke_scenarios, ProgramSpec, Scenario};
-pub use schedule::{Attack, Schedule, Tail};
+pub use schedule::{choices, Attack, Schedule, Tail};
 pub use shrink::{shrink, ShrinkStats};

@@ -78,19 +78,11 @@ pub struct RunResult {
     pub expected: u64,
     /// FNV-1a digest of the committed memory image (0 after a panic).
     pub image_digest: u64,
-    /// The full resolved decision trace (survives panics).
-    pub decisions: Vec<DecisionRecord>,
     /// Free-form diagnostic (panic message, deadlock dump, …).
     pub detail: String,
 }
 
 impl RunResult {
-    /// The decision trace as a replayable choice vector.
-    #[must_use]
-    pub fn choices(&self) -> Vec<u32> {
-        self.decisions.iter().map(|d| d.chosen).collect()
-    }
-
     /// `true` when the outcome is `Fail(kind)`.
     #[must_use]
     pub fn failed_with(&self, kind: FailureKind) -> bool {
@@ -108,19 +100,37 @@ pub fn image_digest(image: &BTreeMap<u64, u64>) -> u64 {
     fnv1a_64(text.as_bytes())
 }
 
-/// Runs `scenario` under `schedule` and judges the outcome.
+/// Runs `scenario` under `schedule` and judges the outcome, recording no
+/// decision trace: the schedule itself replays the run.
 ///
 /// The machine runs with both oracles armed in *record* mode, so
 /// violations accumulate instead of panicking; residual panics (machine
-/// invariants) are caught and reported as [`FailureKind::Panic`]. The
-/// decision trace is recorded outside the machine and is complete even
-/// for panicked runs, which is what makes shrinking possible.
+/// invariants) are caught and reported as [`FailureKind::Panic`].
 #[must_use]
 pub fn run_scenario(scenario: &Scenario, schedule: &Schedule) -> RunResult {
+    execute(scenario, schedule, None)
+}
+
+/// [`run_scenario`] plus the run's full resolved decision trace, for the
+/// callers that read it (flip generation, shrinking). The trace is
+/// recorded outside the machine, so it is complete even for a panicked
+/// run; replayed via [`Schedule::replay`] it reproduces the run.
+#[must_use]
+pub fn trace_scenario(
+    scenario: &Scenario,
+    schedule: &Schedule,
+) -> (RunResult, Vec<DecisionRecord>) {
+    let recorder = Recorder::default();
+    let result = execute(scenario, schedule, Some(Rc::clone(&recorder)));
+    let trace = recorder.take();
+    (result, trace)
+}
+
+/// The one runner behind [`run_scenario`] and [`trace_scenario`].
+fn execute(scenario: &Scenario, schedule: &Schedule, recorder: Option<Recorder>) -> RunResult {
     let kernel = scenario.program.build();
     let expected = scenario.threads as u64 * kernel.per_thread;
-    let recorder = Recorder::default();
-    let hook = schedule.hook(Rc::clone(&recorder));
+    let hook = schedule.hook(recorder);
 
     let outcome = {
         let scenario = scenario.clone();
@@ -160,7 +170,6 @@ pub fn run_scenario(scenario: &Scenario, schedule: &Schedule) -> RunResult {
         caught
     };
 
-    let decisions = recorder.borrow().clone();
     match outcome {
         Err(payload) => RunResult {
             outcome: Outcome::Fail(FailureKind::Panic),
@@ -168,7 +177,6 @@ pub fn run_scenario(scenario: &Scenario, schedule: &Schedule) -> RunResult {
             sum: 0,
             expected,
             image_digest: 0,
-            decisions,
             detail: panic_message(payload.as_ref()),
         },
         Ok((machine, run)) => {
@@ -211,7 +219,6 @@ pub fn run_scenario(scenario: &Scenario, schedule: &Schedule) -> RunResult {
                 sum,
                 expected,
                 image_digest: digest,
-                decisions,
                 detail,
             }
         }
@@ -222,38 +229,36 @@ pub fn run_scenario(scenario: &Scenario, schedule: &Schedule) -> RunResult {
 mod tests {
     use super::*;
     use crate::scenario::smoke_scenarios;
+    use crate::schedule::choices;
 
     #[test]
     fn baseline_smoke_runs_pass() {
         for sc in smoke_scenarios() {
-            let r = run_scenario(&sc, &Schedule::baseline());
+            let (r, trace) = trace_scenario(&sc, &Schedule::baseline());
             assert_eq!(r.outcome, Outcome::Pass, "{}: {}", sc.name, r.detail);
             assert_eq!(r.sum, r.expected, "{}", sc.name);
-            assert!(
-                !r.decisions.is_empty(),
-                "{}: no decisions recorded",
-                sc.name
-            );
+            assert!(!trace.is_empty(), "{}: no decisions recorded", sc.name);
         }
     }
 
     #[test]
     fn identical_runs_are_bit_identical() {
         let sc = &smoke_scenarios()[0];
-        let a = run_scenario(sc, &Schedule::baseline());
-        let b = run_scenario(sc, &Schedule::baseline());
+        let (a, a_trace) = trace_scenario(sc, &Schedule::baseline());
+        let (b, b_trace) = trace_scenario(sc, &Schedule::baseline());
         assert_eq!(a.image_digest, b.image_digest);
-        assert_eq!(a.choices(), b.choices());
+        assert_eq!(a_trace, b_trace);
     }
 
     #[test]
     fn full_trace_replay_reproduces_a_random_run() {
         let sc = &smoke_scenarios()[1];
-        let walked = run_scenario(sc, &Schedule::random(99));
-        let replayed = run_scenario(sc, &Schedule::replay(walked.choices()));
+        let (walked, walked_trace) = trace_scenario(sc, &Schedule::random(99));
+        let (replayed, replayed_trace) =
+            trace_scenario(sc, &Schedule::replay(choices(&walked_trace)));
         assert_eq!(replayed.outcome, walked.outcome);
         assert_eq!(replayed.image_digest, walked.image_digest);
-        assert_eq!(replayed.choices(), walked.choices());
+        assert_eq!(choices(&replayed_trace), choices(&walked_trace));
     }
 
     #[test]
@@ -281,8 +286,8 @@ mod tests {
         let mut suite = smoke_scenarios();
         crate::scenario::apply_fault_plan(&mut suite, &chats_machine::FaultPlan::abort_storm());
         let sc = &suite[0];
-        let walked = run_scenario(sc, &Schedule::random(7));
-        let replayed = run_scenario(sc, &Schedule::replay(walked.choices()));
+        let (walked, trace) = trace_scenario(sc, &Schedule::random(7));
+        let replayed = run_scenario(sc, &Schedule::replay(choices(&trace)));
         assert_eq!(replayed.outcome, walked.outcome);
         assert_eq!(replayed.image_digest, walked.image_digest);
     }

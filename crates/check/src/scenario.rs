@@ -7,6 +7,14 @@ use chats_runner::Json;
 use chats_tvm::gen::{self, Kernel};
 use std::collections::BTreeMap;
 
+/// Largest value a decoded program field may take (iterations, counts,
+/// spins). Shipped scenarios use at most 200.
+pub const MAX_PROGRAM_FIELD: u64 = 1 << 16;
+
+/// Most threads a decoded scenario may ask for. Shipped scenarios use
+/// 2-4.
+pub const MAX_THREADS: u64 = 64;
+
 /// Which attack kernel a scenario runs (see [`chats_tvm::gen`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ProgramSpec {
@@ -148,14 +156,28 @@ impl ProgramSpec {
 
     /// Inverse of [`ProgramSpec::to_json`].
     ///
+    /// Every field is a count the kernel builder asserts is positive, so
+    /// a field must lie in `1..=`[`MAX_PROGRAM_FIELD`]; an
+    /// `evm_mint_storm` pool must also fit the standard account space.
+    /// A decoded spec therefore always builds.
+    ///
     /// # Errors
     ///
-    /// Returns a message naming the missing or malformed field.
+    /// Returns a message naming the missing, malformed or out-of-range
+    /// field.
     pub fn from_json(v: &Json) -> Result<ProgramSpec, String> {
         let field = |k: &str| {
-            v.get(k)
+            let n = v
+                .get(k)
                 .and_then(Json::as_u64)
-                .ok_or_else(|| format!("program: missing numeric field '{k}'"))
+                .ok_or_else(|| format!("program: missing numeric field '{k}'"))?;
+            if (1..=MAX_PROGRAM_FIELD).contains(&n) {
+                Ok(n)
+            } else {
+                Err(format!(
+                    "program: '{k}' must be in 1..={MAX_PROGRAM_FIELD}, got {n}"
+                ))
+            }
         };
         match v.get("kind").and_then(Json::as_str) {
             Some("torture") => Ok(ProgramSpec::Torture {
@@ -184,10 +206,17 @@ impl ProgramSpec {
                 iters: field("iters")?,
                 pool: field("pool")?,
             }),
-            Some("evm_mint_storm") => Ok(ProgramSpec::EvmMintStorm {
-                iters: field("iters")?,
-                pool: field("pool")?,
-            }),
+            Some("evm_mint_storm") => {
+                let iters = field("iters")?;
+                let pool = field("pool")?;
+                let accounts = chats_evm::storage::StateLayout::standard().accounts;
+                if pool > accounts {
+                    return Err(format!(
+                        "program: 'pool' must be at most {accounts} accounts, got {pool}"
+                    ));
+                }
+                Ok(ProgramSpec::EvmMintStorm { iters, pool })
+            }
             Some(k) => Err(format!("program: unknown kind '{k}'")),
             None => Err("program: missing 'kind'".to_string()),
         }
@@ -267,11 +296,13 @@ impl Scenario {
         Json::Obj(m)
     }
 
-    /// Inverse of [`Scenario::to_json`].
+    /// Inverse of [`Scenario::to_json`]. `threads` must lie in
+    /// `1..=`[`MAX_THREADS`]; the program decodes by [`ProgramSpec::from_json`].
     ///
     /// # Errors
     ///
-    /// Returns a message naming the missing or malformed field.
+    /// Returns a message naming the missing, malformed or out-of-range
+    /// field.
     pub fn from_json(v: &Json) -> Result<Scenario, String> {
         let name = v
             .get("name")
@@ -286,7 +317,13 @@ impl Scenario {
         let threads = v
             .get("threads")
             .and_then(Json::as_u64)
-            .ok_or("scenario: missing 'threads'")? as usize;
+            .ok_or("scenario: missing 'threads'")?;
+        if !(1..=MAX_THREADS).contains(&threads) {
+            return Err(format!(
+                "scenario: 'threads' must be in 1..={MAX_THREADS}, got {threads}"
+            ));
+        }
+        let threads = threads as usize;
         let seed = v
             .get("seed")
             .and_then(Json::as_u64)

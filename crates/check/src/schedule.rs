@@ -3,9 +3,10 @@
 //! A [`Schedule`] is a replayed `prefix` of explicit choices followed by a
 //! [`Tail`] policy for every decision past the prefix. The all-default
 //! schedule (`prefix = []`, `Tail::Default`) reproduces the unhooked
-//! simulator bit-exactly; a full decision log replayed as the prefix
-//! reproduces *any* observed run bit-exactly (the machine is deterministic
-//! given its choices).
+//! simulator bit-exactly. The machine is deterministic given its choices,
+//! so a schedule is its own reproducer: running it again replays the same
+//! run. A [`Recorder`] turns a run's resolved decisions into a trace,
+//! which replayed as the prefix reproduces that run under the default tail.
 
 use chats_machine::DecisionHook;
 use chats_sim::{DecisionKind, DecisionRecord, SimRng};
@@ -15,9 +16,15 @@ use std::rc::Rc;
 /// Shared recorder a schedule hook appends every resolved decision to.
 ///
 /// Lives *outside* the machine so the trace survives a panicking run
-/// (the machine, and its internal `decision_log`, are consumed by
-/// `catch_unwind`).
+/// (the machine is consumed by `catch_unwind`).
 pub type Recorder = Rc<RefCell<Vec<DecisionRecord>>>;
+
+/// A recorded trace as a replayable choice vector (the prefix of
+/// [`Schedule::replay`]).
+#[must_use]
+pub fn choices(trace: &[DecisionRecord]) -> Vec<u32> {
+    trace.iter().map(|d| d.chosen).collect()
+}
 
 /// A targeted adversarial tail: one decision kind is forced to its most
 /// hostile non-default choice, everything else stays default.
@@ -139,11 +146,12 @@ impl Schedule {
         }
     }
 
-    /// Builds the machine hook implementing this schedule. Every resolved
-    /// decision (prefix and tail alike) is appended to `recorder`, so the
-    /// recorded trace replayed via [`Schedule::replay`] reproduces the run.
+    /// Builds the machine hook implementing this schedule. With a
+    /// `recorder`, every resolved decision (prefix and tail alike) is
+    /// appended to it, so the recorded trace replayed via
+    /// [`Schedule::replay`] reproduces the run.
     #[must_use]
-    pub fn hook(&self, recorder: Recorder) -> DecisionHook {
+    pub fn hook(&self, recorder: Option<Recorder>) -> DecisionHook {
         let prefix = self.prefix.clone();
         let tail = self.tail.clone();
         let mut rng = match tail {
@@ -169,11 +177,13 @@ impl Schedule {
                 }
             };
             let chosen = raw.min(choices.saturating_sub(1));
-            recorder.borrow_mut().push(DecisionRecord {
-                kind: point.kind,
-                choices,
-                chosen,
-            });
+            if let Some(recorder) = &recorder {
+                recorder.borrow_mut().push(DecisionRecord {
+                    kind: point.kind,
+                    choices,
+                    chosen,
+                });
+            }
             chosen
         })
     }
@@ -195,7 +205,7 @@ mod tests {
     #[test]
     fn prefix_wins_then_tail_takes_over() {
         let rec: Recorder = Recorder::default();
-        let mut h = Schedule::replay(vec![2, 9]).hook(Rc::clone(&rec));
+        let mut h = Schedule::replay(vec![2, 9]).hook(Some(Rc::clone(&rec)));
         assert_eq!(h(&point(0, DecisionKind::TieBreak), 4), 2);
         assert_eq!(h(&point(1, DecisionKind::TieBreak), 4), 3); // 9 clamps
         assert_eq!(h(&point(2, DecisionKind::TieBreak), 4), 0); // tail default
@@ -208,8 +218,7 @@ mod tests {
     #[test]
     fn attacks_only_touch_their_kind() {
         for a in Attack::ALL {
-            let rec: Recorder = Recorder::default();
-            let mut h = Schedule::attack(a).hook(rec);
+            let mut h = Schedule::attack(a).hook(None);
             let hit: Vec<DecisionKind> = DecisionKind::ALL
                 .into_iter()
                 .filter(|&k| h(&point(0, k), 3) != 0)
@@ -221,12 +230,10 @@ mod tests {
     #[test]
     fn random_tail_is_reproducible_and_in_range() {
         let run = |seed| {
-            let rec: Recorder = Recorder::default();
-            let mut h = Schedule::random(seed).hook(Rc::clone(&rec));
-            let picks: Vec<u32> = (0..64)
+            let mut h = Schedule::random(seed).hook(None);
+            (0..64)
                 .map(|i| h(&point(i, DecisionKind::TieBreak), 3))
-                .collect();
-            picks
+                .collect::<Vec<u32>>()
         };
         let a = run(7);
         assert_eq!(a, run(7));

@@ -3,8 +3,8 @@
 //! of the real protocol is deterministic and clean.
 
 use chats_check::{
-    explore, explore_scenario, run_scenario, ExploreBudget, FailureKind, Outcome, ProgramSpec,
-    Reproducer, Scenario, Schedule,
+    choices, explore, explore_scenario, run_scenario, trace_scenario, ExploreBudget, FailureKind,
+    Outcome, ProgramSpec, Reproducer, Scenario, Schedule,
 };
 use chats_core::HtmSystem;
 use std::path::PathBuf;
@@ -104,6 +104,34 @@ fn schedule_sweep_finds_bug_hidden_from_the_default_schedule() {
     assert_eq!(replayed.outcome, Outcome::Fail(failure.kind));
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Exploration judges schedules without a trace and records one only
+/// for a failure, so both runners must judge a failing schedule alike,
+/// and the recorded trace must replay to the same result.
+#[test]
+fn a_failing_schedule_is_judged_alike_with_and_without_a_trace() {
+    let sc = buggy(
+        "planted-hidden",
+        3,
+        ProgramSpec::Observer { iters: 8, pool: 2 },
+    );
+    let report = explore_scenario(&sc, &ExploreBudget::smoke(), None);
+    let failure = report.failure.expect("sweep missed the hidden bug");
+    let schedule = Schedule::replay(failure.shrunk_prefix);
+
+    let plain = run_scenario(&sc, &schedule);
+    let (traced, trace) = trace_scenario(&sc, &schedule);
+    assert_eq!(plain.outcome, Outcome::Fail(failure.kind));
+    for r in [
+        &traced,
+        &run_scenario(&sc, &Schedule::replay(choices(&trace))),
+    ] {
+        assert_eq!(r.outcome, plain.outcome);
+        assert_eq!(r.sum, plain.sum);
+        assert_eq!(r.image_digest, plain.image_digest);
+        assert_eq!(r.detail, plain.detail);
+    }
 }
 
 /// Shrinking and reproducers work on fault schedules too: a planted bug

@@ -23,8 +23,8 @@
 //! only the former, so a clean run and a fault-plan run can be dissected
 //! against each other — their arch hashes first diverge at the epoch of
 //! the first *actually injected* fault, not at the first consumed RNG
-//! draw. Trace sinks, schedule hooks and the decision log are outside both
-//! hashes (commitments are invariant to observability).
+//! draw. Trace sinks, schedule hooks and the hook's decision count are
+//! outside both hashes (commitments are invariant to observability).
 
 use crate::machine::{Machine, Tuning, Violation};
 use crate::msg::Event;
@@ -235,8 +235,8 @@ impl Machine {
     /// Serializes the complete deterministic machine state into `w`, in
     /// named sections. Architectural sections come first, the environment
     /// sections ([`ENV_SECTIONS`]) last, so the arch hash is a prefix
-    /// hash. Trace sinks, schedule hooks and the decision log are not
-    /// state — they observe the run without influencing it.
+    /// hash. Trace sinks, schedule hooks and the hook's decision count are
+    /// not state — they observe the run without influencing it.
     ///
     /// **Every new mutable `Machine` field must join this stream** (or be
     /// explicitly argued out as pure observability) — see the DESIGN §16

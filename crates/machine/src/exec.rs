@@ -282,16 +282,11 @@ impl Machine {
         }
         self.cores[core].l1.commit_speculative();
         if self.cores[core].oracle.is_enabled() {
-            // Snapshot the committed values of every read word, then let
-            // the oracle compare (our own writes just became committed).
-            let committed_now: chats_core::fasthash::FastHashMap<u64, u64> = self.cores[core]
-                .oracle
-                .read_log()
-                .map(|(a, _)| (a, self.inspect_word(Addr(a))))
-                .collect();
+            // Compare every read-only observation against the committed
+            // value now (our own writes just became committed).
             let verdict = self.cores[core]
                 .oracle
-                .check_commit(|a| committed_now[&a.0]);
+                .check_commit(|a| self.inspect_word(a));
             if let Err((a, observed, committed)) = verdict {
                 if self.tuning.oracle == Oracle::Record {
                     self.violations.push(crate::Violation::AtomicityAtCommit {

@@ -10,9 +10,7 @@ use chats_mem::{
     Addr, BackingStore, CacheEntry, CoherenceState, FastHashMap, Line, LineAddr, WORDS_PER_LINE,
 };
 use chats_noc::{Crossbar, MsgClass, NodeId};
-use chats_sim::{
-    Cycle, DecisionKind, DecisionPoint, DecisionRecord, EventQueue, SimRng, SystemConfig,
-};
+use chats_sim::{Cycle, DecisionKind, DecisionPoint, EventQueue, SimRng, SystemConfig};
 use chats_stats::RunStats;
 use chats_tvm::Vm;
 use std::collections::BTreeMap;
@@ -156,8 +154,8 @@ impl fmt::Display for Violation {
 /// A schedule hook: given a decision point and its fan-out, returns the
 /// choice to take (`0` = default; out-of-range choices clamp). Installed
 /// via [`Machine::set_decision_hook`]; with no hook installed the machine
-/// takes choice 0 everywhere without recording anything, and behaves
-/// bit-identically to builds that predate decision points.
+/// takes choice 0 everywhere and behaves bit-identically to builds that
+/// predate decision points.
 pub type DecisionHook = Box<dyn FnMut(&DecisionPoint, u32) -> u32>;
 
 /// Simulation failure.
@@ -234,7 +232,8 @@ pub struct Machine {
     pub(crate) halted: usize,
     pub(crate) trace: Trace,
     pub(crate) hook: Option<DecisionHook>,
-    pub(crate) decision_log: Vec<DecisionRecord>,
+    /// Decisions resolved so far: the next [`DecisionPoint::index`].
+    pub(crate) decisions: u64,
     pub(crate) violations: Vec<Violation>,
     /// Construction seed, kept so [`Machine::set_fault_plan`] can seed the
     /// injector identically for identical `(seed, plan)` pairs.
@@ -358,7 +357,7 @@ impl Machine {
             halted: n,
             trace: Trace::default(),
             hook: None,
-            decision_log: Vec::new(),
+            decisions: 0,
             violations: Vec::new(),
             seed,
             faults: None,
@@ -369,9 +368,10 @@ impl Machine {
     }
 
     /// Installs a schedule hook that resolves every decision point of the
-    /// run (see [`DecisionHook`]). All decisions are recorded in
-    /// [`Machine::decision_log`], so any run can be replayed by feeding the
-    /// log back as a prefix. Call before [`Machine::run`].
+    /// run (see [`DecisionHook`]). The machine keeps no record of the
+    /// choices, only their count for [`DecisionPoint::index`]: a hook that
+    /// wants the trace records it itself, and replaying that trace as a
+    /// prefix reproduces the run. Call before [`Machine::run`].
     pub fn set_decision_hook(&mut self, hook: DecisionHook) {
         self.hook = Some(hook);
     }
@@ -382,38 +382,22 @@ impl Machine {
         self.hook.is_some()
     }
 
-    /// Resolves one decision point: asks the hook (when installed) and logs
-    /// the outcome. Without a hook this is never called on hot paths — call
-    /// sites guard with [`Machine::hook_active`] — but it degrades to
-    /// choice 0 regardless.
+    /// Resolves one decision point: asks the hook (when installed) and
+    /// counts the decision. Without a hook this is never called on hot
+    /// paths — call sites guard with [`Machine::hook_active`] — but it
+    /// degrades to choice 0 regardless.
     pub(crate) fn decide(&mut self, kind: DecisionKind, core: Option<usize>, choices: u32) -> u32 {
         debug_assert!(choices >= 2, "a decision needs at least two choices");
-        let chosen = match self.hook.as_mut() {
-            None => 0,
-            Some(h) => {
-                let dp = DecisionPoint {
-                    index: self.decision_log.len() as u64,
-                    kind,
-                    core,
-                };
-                h(&dp, choices).min(choices - 1)
-            }
+        let Some(h) = self.hook.as_mut() else {
+            return 0;
         };
-        if self.hook.is_some() {
-            self.decision_log.push(DecisionRecord {
-                kind,
-                choices,
-                chosen,
-            });
-        }
-        chosen
-    }
-
-    /// Every decision made during the run, in stream order (empty unless a
-    /// hook was installed).
-    #[must_use]
-    pub fn decision_log(&self) -> &[DecisionRecord] {
-        &self.decision_log
+        let dp = DecisionPoint {
+            index: self.decisions,
+            kind,
+            core,
+        };
+        self.decisions += 1;
+        h(&dp, choices).min(choices - 1)
     }
 
     /// Violations recorded by the oracle ([`Oracle::Record`]).

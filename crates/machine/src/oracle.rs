@@ -95,11 +95,6 @@ impl Oracle {
         self.writes.iter().map(|(a, v)| (*a, *v))
     }
 
-    /// The transaction's first-read observations.
-    pub(crate) fn read_log(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.reads.iter().map(|(a, v)| (*a, *v))
-    }
-
     /// Serializes the observation log (maps spill in sorted-key order).
     pub(crate) fn save_state(&self, w: &mut chats_snap::SnapWriter) {
         use chats_snap::Snap;
