@@ -52,12 +52,15 @@ impl ExploreBudget {
         }
     }
 
-    /// Default budget for local exploration.
+    /// Default budget for local exploration and CI's full sweep: 17,517
+    /// schedules over the full suite, about 9 s on a 2-vCPU host. All but
+    /// two full-suite baselines offer fewer than 1024 flips, so there the
+    /// flip stage runs every single flip.
     #[must_use]
     pub fn full() -> ExploreBudget {
         ExploreBudget {
-            walks: 12,
-            flips: 64,
+            walks: 256,
+            flips: 1024,
             attacks: true,
         }
     }
@@ -87,7 +90,8 @@ pub struct ScenarioReport {
     pub name: String,
     /// Schedules executed (excluding shrink probes).
     pub runs: usize,
-    /// Runs that hit the cycle budget.
+    /// Runs judged [`Outcome::Inconclusive`]: they hit the cycle budget or
+    /// the progress watchdog.
     pub inconclusive: usize,
     /// Image digest of the baseline run (manifest determinism anchor).
     pub base_digest: u64,

@@ -9,9 +9,24 @@ use chats_runner::hash::fnv1a_64;
 use chats_runner::pool::panic_message;
 use chats_sim::{DecisionRecord, SystemConfig};
 use chats_tvm::Vm;
+use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::rc::Rc;
+use std::sync::Once;
+
+/// No-progress horizon of the progress watchdog every run arms, in
+/// cycles: over 80x the longest gap between two progress points of a core
+/// in any completed schedule of the shipped suites (11,868 cycles, DESIGN
+/// §10). A schedule that starves every core ends here instead of spinning
+/// to its cycle budget.
+const WATCHDOG_HORIZON: u64 = 1_000_000;
+
+thread_local! {
+    /// Set while this thread runs a scenario, whose machine-invariant
+    /// panics are caught and judged rather than printed.
+    static IN_SCENARIO: Cell<bool> = const { Cell::new(false) };
+}
 
 /// What went wrong, when something did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,7 +75,9 @@ pub enum Outcome {
     Pass,
     /// A check failed (the interesting case).
     Fail(FailureKind),
-    /// The run hit its cycle budget — hostile schedules can legitimately
+    /// The run hit its cycle budget, or the progress watchdog found it
+    /// stalled with events still in flight (or, under a fault plan, with
+    /// none) — hostile schedules and injected faults can legitimately
     /// starve progress, so this is neither a pass nor a failure.
     Inconclusive(String),
 }
@@ -126,6 +143,22 @@ pub fn trace_scenario(
     (result, trace)
 }
 
+/// Installs, once per process, a panic hook that is silent inside a
+/// scenario run and hands every other panic to the hook it replaced.
+/// Swapping hooks around each run instead races: two threads can each
+/// restore the other's silent hook and leave it installed for good.
+fn install_quiet_panic_hook() {
+    static INSTALL: Once = Once::new();
+    INSTALL.call_once(|| {
+        let prev = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            if !IN_SCENARIO.with(Cell::get) {
+                prev(info);
+            }
+        }));
+    });
+}
+
 /// The one runner behind [`run_scenario`] and [`trace_scenario`].
 fn execute(scenario: &Scenario, schedule: &Schedule, recorder: Option<Recorder>) -> RunResult {
     let kernel = scenario.program.build();
@@ -135,11 +168,11 @@ fn execute(scenario: &Scenario, schedule: &Schedule, recorder: Option<Recorder>)
     let outcome = {
         let scenario = scenario.clone();
         let program = kernel.program.clone();
-        // The machine panics loudly on internal invariants; silence the
-        // default hook for the duration so expected failing runs (shrink
-        // probes replay hundreds of them) do not spam stderr.
-        let prev_hook = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
+        // The machine panics loudly on internal invariants; the hook keeps
+        // expected failing runs (shrink probes replay hundreds of them)
+        // off stderr.
+        install_quiet_panic_hook();
+        IN_SCENARIO.with(|f| f.set(true));
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
             let mut sys = SystemConfig::small_test();
             sys.core.cores = scenario.threads;
@@ -154,6 +187,8 @@ fn execute(scenario: &Scenario, schedule: &Schedule, recorder: Option<Recorder>)
                 scenario.seed,
             );
             m.set_decision_hook(hook);
+            m.set_watchdog(WATCHDOG_HORIZON);
+            // After the default watchdog, so a plan's own horizon wins.
             if let Some(plan) = &scenario.faults {
                 m.set_fault_plan(plan);
             }
@@ -166,7 +201,7 @@ fn execute(scenario: &Scenario, schedule: &Schedule, recorder: Option<Recorder>)
             let run = m.run(scenario.max_cycles);
             (m, run)
         }));
-        std::panic::set_hook(prev_hook);
+        IN_SCENARIO.with(|f| f.set(false));
         caught
     };
 
@@ -188,31 +223,14 @@ fn execute(scenario: &Scenario, schedule: &Schedule, recorder: Option<Recorder>)
             let mem = machine.memory_view();
             let sum: u64 = kernel.counters.iter().map(|&a| mem.read(Addr(a))).sum();
             let digest = image_digest(&mem.image());
-            let (outcome, detail) = match run {
-                Err(SimError::Timeout { at_cycle }) => (
-                    Outcome::Inconclusive(format!("cycle budget exhausted at {at_cycle}")),
-                    String::new(),
-                ),
-                Err(SimError::Deadlock { at_cycle, detail }) => (
-                    Outcome::Fail(FailureKind::Deadlock),
-                    format!("deadlock at cycle {at_cycle}: {detail}"),
-                ),
-                // A fault schedule may legitimately starve progress (e.g.
-                // dropped validation responses); the watchdog converts
-                // that hang into a structured diagnosis rather than a
-                // protocol failure.
-                Err(SimError::WatchdogStall { report }) => {
-                    (Outcome::Inconclusive(format!("{report}")), String::new())
-                }
-                Ok(_) if !violations.is_empty() => {
-                    (Outcome::Fail(FailureKind::Violation), violations.join("\n"))
-                }
-                Ok(_) if sum != expected => (
-                    Outcome::Fail(FailureKind::SumMismatch),
-                    format!("committed sum {sum}, expected {expected}"),
-                ),
-                Ok(_) => (Outcome::Pass, String::new()),
-            };
+            let (outcome, detail) = judge(
+                run.as_ref().err(),
+                scenario.faults.is_some(),
+                &violations,
+                sum,
+                expected,
+                || machine.debug_dump(),
+            );
             RunResult {
                 outcome,
                 violations,
@@ -222,6 +240,53 @@ fn execute(scenario: &Scenario, schedule: &Schedule, recorder: Option<Recorder>)
                 detail,
             }
         }
+    }
+}
+
+/// Judges a finished run (`error` is `None` when every thread halted):
+/// its verdict and diagnostic detail. `faulted` says a fault plan was
+/// installed; `dump` renders the machine for a deadlock's detail and is
+/// called only then.
+fn judge(
+    error: Option<&SimError>,
+    faulted: bool,
+    violations: &[String],
+    sum: u64,
+    expected: u64,
+    dump: impl FnOnce() -> String,
+) -> (Outcome, String) {
+    let deadlock = |at_cycle: u64, detail: String| {
+        (
+            Outcome::Fail(FailureKind::Deadlock),
+            format!("deadlock at cycle {at_cycle}: {detail}"),
+        )
+    };
+    match error {
+        Some(SimError::Timeout { at_cycle }) => (
+            Outcome::Inconclusive(format!("cycle budget exhausted at {at_cycle}")),
+            String::new(),
+        ),
+        Some(SimError::Deadlock { at_cycle, detail }) => deadlock(*at_cycle, detail.clone()),
+        // A drained queue with live threads is a lost wakeup in the
+        // protocol, whether or not the watchdog saw it first.
+        Some(SimError::WatchdogStall { report }) if report.drained && !faulted => {
+            deadlock(report.at_cycle, dump())
+        }
+        // A hostile schedule may starve progress with events still in
+        // flight (NACK-vs-NACK), and a fault schedule may hang outright
+        // (e.g. dropped validation responses); the watchdog ends both
+        // with a structured diagnosis rather than a protocol failure.
+        Some(SimError::WatchdogStall { report }) => {
+            (Outcome::Inconclusive(format!("{report}")), String::new())
+        }
+        None if !violations.is_empty() => {
+            (Outcome::Fail(FailureKind::Violation), violations.join("\n"))
+        }
+        None if sum != expected => (
+            Outcome::Fail(FailureKind::SumMismatch),
+            format!("committed sum {sum}, expected {expected}"),
+        ),
+        None => (Outcome::Pass, String::new()),
     }
 }
 
@@ -290,6 +355,123 @@ mod tests {
         let replayed = run_scenario(sc, &Schedule::replay(choices(&trace)));
         assert_eq!(replayed.outcome, walked.outcome);
         assert_eq!(replayed.image_digest, walked.image_digest);
+    }
+
+    fn stall(at_cycle: u64, drained: bool) -> SimError {
+        SimError::WatchdogStall {
+            report: Box::new(chats_machine::FailureReport {
+                at_cycle,
+                horizon: WATCHDOG_HORIZON,
+                stalled_cores: vec![0, 1],
+                lock_holder: None,
+                fault_injections: 0,
+                cores: Vec::new(),
+                recent_events: Vec::new(),
+                state_commitment: 0,
+                drained,
+            }),
+        }
+    }
+
+    fn judged(error: &SimError, faulted: bool) -> (Outcome, String) {
+        judge(Some(error), faulted, &[], 0, 0, || "DUMP".to_string())
+    }
+
+    fn unreachable_dump() -> String {
+        panic!("only a deadlock renders the machine")
+    }
+
+    #[test]
+    fn a_drained_stall_without_faults_is_a_deadlock() {
+        assert_eq!(
+            judged(&stall(4_321, true), false),
+            (
+                Outcome::Fail(FailureKind::Deadlock),
+                "deadlock at cycle 4321: DUMP".to_string()
+            )
+        );
+        // The detail has the form an unwatched machine's deadlock gets.
+        let bare = SimError::Deadlock {
+            at_cycle: 4_321,
+            detail: "DUMP".to_string(),
+        };
+        assert_eq!(judged(&bare, false), judged(&stall(4_321, true), false));
+    }
+
+    #[test]
+    fn a_horizon_stall_is_inconclusive() {
+        let err = stall(1_250_000, false);
+        let (outcome, detail) = judge(Some(&err), false, &[], 0, 0, unreachable_dump);
+        let Outcome::Inconclusive(why) = outcome else {
+            panic!("a horizon stall judged {outcome:?}");
+        };
+        assert!(why.starts_with("no progress within 1000000 cycles at cycle 1250000"));
+        assert_eq!(detail, "");
+    }
+
+    #[test]
+    fn a_drained_stall_under_a_fault_plan_is_inconclusive() {
+        let err = stall(9_000, true);
+        let (outcome, _) = judge(Some(&err), true, &[], 0, 0, unreachable_dump);
+        assert!(matches!(outcome, Outcome::Inconclusive(_)), "{outcome:?}");
+    }
+
+    #[test]
+    fn a_timeout_is_inconclusive() {
+        let err = SimError::Timeout { at_cycle: 77 };
+        assert_eq!(
+            judge(Some(&err), false, &[], 0, 0, unreachable_dump),
+            (
+                Outcome::Inconclusive("cycle budget exhausted at 77".to_string()),
+                String::new()
+            )
+        );
+    }
+
+    #[test]
+    fn completed_runs_are_judged_by_the_oracles() {
+        let violations = ["v1".to_string(), "v2".to_string()];
+        let judged = |v: &[String], sum| judge(None, false, v, sum, 6, unreachable_dump);
+        assert_eq!(judged(&[], 6), (Outcome::Pass, String::new()));
+        assert_eq!(
+            judged(&[], 5),
+            (
+                Outcome::Fail(FailureKind::SumMismatch),
+                "committed sum 5, expected 6".to_string()
+            )
+        );
+        assert_eq!(
+            judged(&violations, 5),
+            (Outcome::Fail(FailureKind::Violation), "v1\nv2".to_string())
+        );
+    }
+
+    /// `starve-forwards` NACKs every conflict, which stops all progress on
+    /// the torture kernel: the watchdog, not the cycle budget, ends it.
+    #[test]
+    fn starved_forwards_end_at_the_watchdog() {
+        let sc = crate::scenario::full_scenarios()
+            .into_iter()
+            .find(|s| s.name == "torture-chats")
+            .expect("the full suite has torture-chats");
+        let r = run_scenario(
+            &sc,
+            &Schedule::attack(crate::schedule::Attack::StarveForwards),
+        );
+        let Outcome::Inconclusive(why) = &r.outcome else {
+            panic!("starve-forwards judged {:?}", r.outcome);
+        };
+        assert!(why.contains("no progress within"), "{why}");
+        let at_cycle: u64 = why
+            .split("at cycle ")
+            .nth(1)
+            .and_then(|rest| rest.split_whitespace().next())
+            .and_then(|n| n.parse().ok())
+            .expect("the report names its cycle");
+        assert!(
+            at_cycle <= WATCHDOG_HORIZON + WATCHDOG_HORIZON / 4,
+            "stalled at cycle {at_cycle}"
+        );
     }
 
     #[test]

@@ -119,6 +119,10 @@ pub struct FailureReport {
     /// identically carry identical commitments, so reproducers can assert
     /// the replay reached the very same stuck state.
     pub state_commitment: u64,
+    /// The event queue drained with live threads: no event will ever wake
+    /// them, so the stall is a deadlock rather than a horizon expiry with
+    /// events still in flight. Not rendered by `Display`.
+    pub drained: bool,
 }
 
 impl fmt::Display for FailureReport {
@@ -283,14 +287,15 @@ impl Machine {
         if stalled.is_empty() {
             return None;
         }
-        Some(self.watchdog_fire(horizon, stalled))
+        Some(self.watchdog_fire(horizon, stalled, false))
     }
 
     /// Drain-time watchdog: if the event queue emptied with live threads
     /// while the watchdog is armed, every live core is by definition
     /// permanently stuck (no event will ever wake it) — report that as a
     /// watchdog failure rather than a bare deadlock, regardless of how
-    /// much horizon remained.
+    /// much horizon remained. The report's `drained` flag keeps the
+    /// deadlock distinguishable from a horizon expiry.
     pub(crate) fn watchdog_drain_report(&mut self) -> Option<SimError> {
         let horizon = self.watchdog.as_ref()?.horizon;
         let stalled: Vec<usize> = self
@@ -303,10 +308,10 @@ impl Machine {
         if stalled.is_empty() {
             return None;
         }
-        Some(self.watchdog_fire(horizon, stalled))
+        Some(self.watchdog_fire(horizon, stalled, true))
     }
 
-    fn watchdog_fire(&mut self, horizon: u64, stalled: Vec<usize>) -> SimError {
+    fn watchdog_fire(&mut self, horizon: u64, stalled: Vec<usize>, drained: bool) -> SimError {
         // Hash before recording WatchdogFired: trace sinks are outside the
         // commitment, but keeping the capture point first makes the value
         // independent of whatever the trace machinery does below.
@@ -332,6 +337,7 @@ impl Machine {
             cores,
             recent_events,
             state_commitment,
+            drained,
         };
         SimError::WatchdogStall {
             report: Box::new(report),

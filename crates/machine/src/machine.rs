@@ -177,7 +177,8 @@ pub enum SimError {
     },
     /// The progress watchdog fired: some core made no progress (commit,
     /// fallback completion or halt) for a full horizon, or the event queue
-    /// drained with live threads while the watchdog was armed. Unlike
+    /// drained with live threads while the watchdog was armed (the
+    /// report's `drained` flag says which). Unlike
     /// [`SimError::Timeout`], this carries a structured diagnosis of what
     /// starved and why. Only possible after [`Machine::set_watchdog`] /
     /// [`Machine::set_fault_plan`].

@@ -215,8 +215,63 @@ fn dropped_validation_response_ends_in_failure_report() {
             );
             let rendered = report.to_string();
             assert!(rendered.contains("no progress within 50000 cycles"));
+            assert!(!report.drained, "events were still in flight:\n{report}");
         }
         other => panic!("expected a watchdog failure report, got: {other}"),
+    }
+}
+
+/// Two threads that deadlock on the fallback lock: thread 0 overflows
+/// one L1 set inside a transaction, falls back, and halts inside its
+/// fallback section with the lock held; thread 1 begins a transaction
+/// later and parks on that lock with no event left to wake it.
+fn lock_orphaning_machine() -> Machine {
+    let mut holder = ProgramBuilder::new();
+    holder.tx_begin();
+    let (addr, one) = (Reg(0), Reg(1));
+    holder.imm(one, 1);
+    for way in 0..6 {
+        // 16 sets x 8 words per line: every line maps to set 0.
+        holder.imm(addr, way * 16 * 8).store(addr, one);
+    }
+    holder.halt();
+    let mut waiter = ProgramBuilder::new();
+    waiter.pause(50_000).tx_begin();
+    waiter.imm(addr, 8).imm(one, 1).store(addr, one);
+    waiter.tx_end().halt();
+
+    let mut sys = SystemConfig::small_test();
+    sys.core.cores = 2;
+    let mut m = Machine::new(
+        sys,
+        PolicyConfig::for_system(HtmSystem::Chats),
+        Tuning::default(),
+        1,
+    );
+    m.load_thread(0, Vm::new(holder.build(), 1));
+    m.load_thread(1, Vm::new(waiter.build(), 2));
+    m
+}
+
+/// A queue that drains with live threads under an armed watchdog ends in
+/// a report flagged `drained`, at the cycle and with the machine state an
+/// unwatched run reports as a bare deadlock.
+#[test]
+fn a_drained_queue_is_flagged_in_the_failure_report() {
+    let (at_cycle, detail) = match lock_orphaning_machine().run(40_000_000) {
+        Err(SimError::Deadlock { at_cycle, detail }) => (at_cycle, detail),
+        other => panic!("expected the unwatched run to drain, got: {other:?}"),
+    };
+    let mut watched = lock_orphaning_machine();
+    watched.set_watchdog(1 << 40);
+    match watched.run(40_000_000) {
+        Err(SimError::WatchdogStall { report }) => {
+            assert!(report.drained, "the queue drained:\n{report}");
+            assert_eq!(report.at_cycle, at_cycle);
+            assert_eq!(report.stalled_cores, vec![1]);
+            assert_eq!(watched.debug_dump(), detail);
+        }
+        other => panic!("expected a drained watchdog report, got: {other:?}"),
     }
 }
 
