@@ -45,10 +45,14 @@ const ENV_SECTIONS: [&str; 2] = ["env.faults", "env.watchdog"];
 /// dissection tools and the overhead bench. Each boundary hashes the
 /// *complete* machine state (a walk proportional to state size, not to
 /// the events in the epoch), so the interval is what amortizes that
-/// fixed cost: 64 Ki cycles keeps the measured throughput loss under 5%
-/// on the 16-core paper config (`chats-bench commit-overhead`), while an
-/// epoch stays small enough that divergence dissection replays at most a
-/// few tens of thousands of events to pin the first divergent one.
+/// fixed cost, while an epoch stays small enough that divergence
+/// dissection replays at most a few tens of thousands of events to pin
+/// the first divergent one. At 64 Ki cycles the throughput loss stays
+/// under 5% only on the contended cell `chats-bench commit-overhead`
+/// gates. On the paper-scale evm cells the state is larger: commitments
+/// take 28% of host time on `evm-token-storm/chats` (1.8 ms each) and 26%
+/// on `evm-transfers/chats` (2.1 ms each); DESIGN §16 has the
+/// measurement, ROADMAP item 2 the open work.
 pub const DEFAULT_COMMIT_INTERVAL: u64 = 65_536;
 
 /// The full/arch commitment pair of one machine state.
@@ -183,6 +187,24 @@ pub fn hash_bytes(bytes: &[u8]) -> u64 {
     let mut h = chats_core::fasthash::FxHasher::default();
     h.write(bytes);
     h.finish()
+}
+
+/// The commitment pair of a state stream whose architectural prefix is
+/// `bytes[..arch_end]`: `hash_bytes(bytes)` and `hash_bytes(&bytes[..arch_end])`
+/// in one pass. The hasher consumes whole 8-byte words, so both hashes
+/// share the state after the last whole word of the prefix; a copy of it
+/// finishes the prefix, the original the rest of the stream.
+fn commitment_of(bytes: &[u8], arch_end: usize) -> StateCommitment {
+    let shared = arch_end / 8 * 8;
+    let mut full = chats_core::fasthash::FxHasher::default();
+    full.write(&bytes[..shared]);
+    let mut arch = full;
+    arch.write(&bytes[shared..arch_end]);
+    full.write(&bytes[shared..]);
+    StateCommitment {
+        full: full.finish(),
+        arch: arch.finish(),
+    }
 }
 
 impl Machine {
@@ -371,10 +393,7 @@ impl Machine {
             .iter()
             .find(|(name, _)| ENV_SECTIONS.contains(name))
             .map_or(bytes.len(), |(_, range)| range.start);
-        StateCommitment {
-            full: hash_bytes(bytes),
-            arch: hash_bytes(&bytes[..arch_end]),
-        }
+        commitment_of(bytes, arch_end)
     }
 
     /// Per-section subhashes of the current state, in stream order — the
@@ -533,10 +552,12 @@ pub fn build_fingerprint() -> u64 {
 
 #[cfg(test)]
 mod tests {
+    use super::{commitment_of, hash_bytes, StateCommitment};
     use crate::machine::RunProgress;
     use crate::{Machine, RingSink, Tuning};
     use chats_core::{HtmSystem, PolicyConfig};
     use chats_sim::SystemConfig;
+    use chats_snap::SnapWriter;
     use chats_tvm::{ProgramBuilder, Reg, Vm};
 
     /// Two threads transactionally incrementing a shared counter long
@@ -592,6 +613,54 @@ mod tests {
         let sections = a.commitment_sections();
         assert!(sections.iter().any(|(n, _)| *n == "queue"));
         assert_ne!(c.full, 0);
+    }
+
+    /// `state_commitment` hashes the stream once; it must equal the
+    /// two-pass definition, under a fault plan and a watchdog so the
+    /// environment sections that trail the arch prefix are non-empty.
+    #[test]
+    fn one_pass_commitment_matches_the_two_pass_definition() {
+        let mut m = counter_machine(7);
+        m.set_fault_plan(&crate::FaultPlan::abort_storm());
+        m.set_watchdog(1 << 20);
+        let mut unaligned_splits = 0;
+        for pause in [0, 256, 512, 1024] {
+            let RunProgress::Paused { .. } = m.run_to(pause, 1_000_000).unwrap() else {
+                panic!("workload finished before cycle {pause}");
+            };
+            let mut w = SnapWriter::new();
+            m.write_state(&mut w);
+            let bytes = w.bytes();
+            let section = |name: &str| w.sections().into_iter().find(|(n, _)| *n == name);
+            let (_, faults) = section("env.faults").expect("a fault section");
+            let (_, watchdog) = section("env.watchdog").expect("a watchdog section");
+            assert!(!faults.is_empty() && !watchdog.is_empty());
+            let arch_end = faults.start;
+            assert_eq!(
+                m.state_commitment(),
+                StateCommitment {
+                    full: hash_bytes(bytes),
+                    arch: hash_bytes(&bytes[..arch_end]),
+                }
+            );
+            // Every split point near the real one, aligned or not, plus a
+            // spread over the whole stream.
+            let near = arch_end.saturating_sub(12)..=(arch_end + 12).min(bytes.len());
+            let spread = (0..=bytes.len()).step_by(bytes.len() / 64 + 1);
+            for end in near.chain(spread) {
+                unaligned_splits += usize::from(end % 8 != 0);
+                assert_eq!(
+                    commitment_of(bytes, end),
+                    StateCommitment {
+                        full: hash_bytes(bytes),
+                        arch: hash_bytes(&bytes[..end]),
+                    },
+                    "split at {end} of {}",
+                    bytes.len()
+                );
+            }
+        }
+        assert!(unaligned_splits > 0);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use crate::core_state::{ExecMode, PendingMem, WaitReason};
 use crate::machine::{Machine, Oracle};
 use crate::msg::{DirMsg, Event};
-use crate::trace::TraceEvent;
+use crate::trace::{narrow, TraceEvent};
 use chats_core::{AbortCause, LevcArbiter, RetryVerdict};
 use chats_mem::{Addr, CoherenceState, EvictOutcome, LineAddr};
 use chats_noc::MsgClass;
@@ -198,7 +198,10 @@ impl Machine {
         }
         self.stats.tx_attempts += 1;
         let at = self.clock;
-        self.trace.record(TraceEvent::TxBegin { at, core });
+        self.trace.record(TraceEvent::TxBegin {
+            at,
+            core: narrow(core),
+        });
     }
 
     /// Handles a `TxEnd` marker. Returns `true` to continue the burst.
@@ -209,7 +212,7 @@ impl Machine {
                 self.cores[core].mode = ExecMode::Plain;
                 self.trace.record(TraceEvent::FallbackRelease {
                     at: self.clock,
-                    core,
+                    core: narrow(core),
                 });
                 self.watchdog_progress(core);
                 self.wake_lock_waiters();
@@ -224,7 +227,7 @@ impl Machine {
                     self.cores[core].commit_pending = true;
                     self.trace.record(TraceEvent::ValStallBegin {
                         at: self.clock,
-                        core,
+                        core: narrow(core),
                     });
                     self.kick_validation(core);
                     false
@@ -255,7 +258,7 @@ impl Machine {
                 // draining VSB; account it in the same bucket.
                 self.trace.record(TraceEvent::ValStallBegin {
                     at: self.clock,
-                    core,
+                    core: narrow(core),
                 });
             }
             self.events.push(at, Event::CommitRelease { core, epoch });
@@ -277,7 +280,7 @@ impl Machine {
         if self.cores[core].commit_pending {
             self.trace.record(TraceEvent::ValStallEnd {
                 at: self.clock,
-                core,
+                core: narrow(core),
             });
         }
         self.cores[core].l1.commit_speculative();
@@ -326,7 +329,7 @@ impl Machine {
         self.watchdog_progress(core);
         self.trace.record(TraceEvent::Commit {
             at: self.clock,
-            core,
+            core: narrow(core),
         });
         if self.cores[core].attempt_conflicted {
             self.stats.conflicted_outcomes.committed += 1;
@@ -348,7 +351,7 @@ impl Machine {
         if self.cores[core].commit_pending {
             self.trace.record(TraceEvent::ValStallEnd {
                 at: self.clock,
-                core,
+                core: narrow(core),
             });
         }
         if self.trace.enabled() {
@@ -358,14 +361,14 @@ impl Machine {
             for line in evicted {
                 self.trace.record(TraceEvent::VsbEvict {
                     at: self.clock,
-                    core,
+                    core: narrow(core),
                     line,
                 });
             }
         }
         self.trace.record(TraceEvent::Abort {
             at: self.clock,
-            core,
+            core: narrow(core),
             cause,
         });
         if self.cores[core].attempt_conflicted {
@@ -459,7 +462,7 @@ impl Machine {
         self.stats.fallback_acquisitions += 1;
         self.trace.record(TraceEvent::Fallback {
             at: self.clock,
-            core,
+            core: narrow(core),
         });
         for other in 0..self.cores.len() {
             if other != core && self.cores[other].in_tx() {

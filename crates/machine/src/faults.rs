@@ -15,7 +15,7 @@
 use crate::core_state::ExecMode;
 use crate::machine::{Machine, SimError};
 use crate::msg::{CoreMsg, DirMsg, Event};
-use crate::trace::{RingSink, Trace, TraceEvent};
+use crate::trace::{narrow, RingSink, Trace, TraceEvent};
 use chats_core::{AbortCause, Pic};
 use chats_faults::{FaultKind, FaultPlan, FaultState};
 use chats_mem::LineAddr;
@@ -319,7 +319,7 @@ impl Machine {
         for &core in &stalled {
             self.trace.record(TraceEvent::WatchdogFired {
                 at: self.clock,
-                core,
+                core: narrow(core),
             });
         }
         let cores: Vec<CoreSnapshot> = (0..self.cores.len())
@@ -377,7 +377,7 @@ impl Machine {
         if let Some(d) = f.freeze() {
             self.trace.record(TraceEvent::FaultInjected {
                 at: self.clock,
-                core,
+                core: narrow(core),
                 kind: FaultKind::Freeze,
             });
             self.events
@@ -387,7 +387,7 @@ impl Machine {
         if let Some(d) = f.slowdown() {
             self.trace.record(TraceEvent::FaultInjected {
                 at: self.clock,
-                core,
+                core: narrow(core),
                 kind: FaultKind::Slowdown,
             });
             self.events
@@ -397,7 +397,7 @@ impl Machine {
         if in_tx && f.spurious_abort(now) {
             self.trace.record(TraceEvent::FaultInjected {
                 at: self.clock,
-                core,
+                core: narrow(core),
                 kind: FaultKind::SpuriousAbort,
             });
             self.cores[core].retry.note_fault();
@@ -407,7 +407,7 @@ impl Machine {
         if in_tx && vsb_loaded && f.vsb_evict() {
             self.trace.record(TraceEvent::FaultInjected {
                 at: self.clock,
-                core,
+                core: narrow(core),
                 kind: FaultKind::VsbEvict,
             });
             self.cores[core].retry.note_fault();
@@ -448,7 +448,7 @@ impl Machine {
             let timeout = f.drop_timeout();
             self.trace.record(TraceEvent::FaultInjected {
                 at: self.clock,
-                core: from_core,
+                core: narrow(from_core),
                 kind: FaultKind::Drop,
             });
             let epoch = self.cores[from_core].epoch;
@@ -465,7 +465,7 @@ impl Machine {
             arrive += d;
             self.trace.record(TraceEvent::FaultInjected {
                 at: self.clock,
-                core: from_core,
+                core: narrow(from_core),
                 kind: FaultKind::Delay,
             });
         }
@@ -473,7 +473,7 @@ impl Machine {
             arrive += d;
             self.trace.record(TraceEvent::FaultInjected {
                 at: self.clock,
-                core: from_core,
+                core: narrow(from_core),
                 kind: FaultKind::Reorder,
             });
         }
@@ -508,7 +508,7 @@ impl Machine {
             if f.drop_validation_data() {
                 self.trace.record(TraceEvent::FaultInjected {
                     at: self.clock,
-                    core: to,
+                    core: narrow(to),
                     kind: FaultKind::ValidationDrop,
                 });
                 return None;
@@ -517,7 +517,7 @@ impl Machine {
                 arrive += d;
                 self.trace.record(TraceEvent::FaultInjected {
                     at: self.clock,
-                    core: to,
+                    core: narrow(to),
                     kind: FaultKind::ValidationDelay,
                 });
             }
@@ -526,7 +526,7 @@ impl Machine {
             arrive += d;
             self.trace.record(TraceEvent::FaultInjected {
                 at: self.clock,
-                core: to,
+                core: narrow(to),
                 kind: FaultKind::Delay,
             });
         }
@@ -534,7 +534,7 @@ impl Machine {
             arrive += d;
             self.trace.record(TraceEvent::FaultInjected {
                 at: self.clock,
-                core: to,
+                core: narrow(to),
                 kind: FaultKind::Reorder,
             });
         }
@@ -542,7 +542,7 @@ impl Machine {
         let dup = if duplicable && f.duplicate() {
             self.trace.record(TraceEvent::FaultInjected {
                 at: self.clock,
-                core: to,
+                core: narrow(to),
                 kind: FaultKind::Duplicate,
             });
             Some(Cycle(f.sequence(to, arrive.0 + 1)))

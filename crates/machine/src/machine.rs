@@ -3,7 +3,7 @@
 use crate::core_state::CoreState;
 use crate::dir::Directory;
 use crate::msg::{CoreMsg, DirMsg, Event, Request};
-use crate::trace::{RingSink, Trace, TraceEvent, TraceSink};
+use crate::trace::{narrow, RingSink, Trace, TraceEvent, TraceSink};
 use chats_core::retry::FallbackLock;
 use chats_core::{PolicyConfig, PowerToken, TimestampSource};
 use chats_mem::{
@@ -315,10 +315,40 @@ impl fmt::Debug for Machine {
     }
 }
 
+/// Rejects a configuration whose ids or counts would not fit the narrow
+/// [`TraceEvent`] fields, before anything is allocated: the NoC node count
+/// (cores plus the directory) and both flit counts must fit `u16`. (VSB
+/// occupancy is `u32`; a VSB that large could not be allocated.)
+fn check_trace_widths(sys: &SystemConfig) {
+    let nodes = sys.core.cores.saturating_add(1);
+    assert!(
+        u16::try_from(nodes).is_ok(),
+        "{} cores plus the directory make {nodes} NoC nodes; at most {} fit a trace node id",
+        sys.core.cores,
+        u16::MAX
+    );
+    for (name, flits) in [
+        ("control_flits", sys.noc.control_flits),
+        ("data_flits", sys.noc.data_flits),
+    ] {
+        assert!(
+            u16::try_from(flits).is_ok(),
+            "{name} = {flits} does not fit a trace flit count (at most {})",
+            u16::MAX
+        );
+    }
+}
+
 impl Machine {
     /// Builds a machine with `sys` hardware, `policy` HTM system and
     /// machine `tuning`, seeded with `seed`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the NoC node count (cores plus the directory) or a flit
+    /// count does not fit the `u16` fields of a [`TraceEvent`].
     pub fn new(sys: SystemConfig, policy: PolicyConfig, tuning: Tuning, seed: u64) -> Machine {
+        check_trace_widths(&sys);
         let n = sys.core.cores;
         let power_threshold = if policy.system.uses_power_token() {
             Some(policy.power_threshold)
@@ -882,9 +912,9 @@ impl Machine {
         if self.trace.enabled() {
             self.trace.record(TraceEvent::NocSend {
                 at,
-                src: from_core,
-                dst: self.dir_node().0,
-                flits: self.xbar.flits_of(class),
+                src: narrow(from_core),
+                dst: narrow(self.dir_node().0),
+                flits: narrow(self.xbar.flits_of(class)),
                 arrive,
             });
         }
@@ -916,9 +946,9 @@ impl Machine {
         if self.trace.enabled() {
             self.trace.record(TraceEvent::NocSend {
                 at,
-                src: src.0,
-                dst: to,
-                flits: self.xbar.flits_of(class),
+                src: narrow(src.0),
+                dst: narrow(to),
+                flits: narrow(self.xbar.flits_of(class)),
                 arrive,
             });
         }
@@ -951,5 +981,44 @@ impl Machine {
             epoch: c.epoch,
         };
         self.send_to_dir(core, MsgClass::Control, DirMsg::Request(req), delay);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::check_trace_widths;
+    use chats_sim::SystemConfig;
+
+    fn widths_ok(edit: impl FnOnce(&mut SystemConfig)) -> bool {
+        let mut sys = SystemConfig::small_test();
+        edit(&mut sys);
+        std::panic::catch_unwind(|| check_trace_widths(&sys)).is_ok()
+    }
+
+    #[test]
+    fn the_largest_traceable_config_is_accepted() {
+        assert!(widths_ok(|_| {}));
+        assert!(widths_ok(|sys| {
+            sys.core.cores = usize::from(u16::MAX) - 1;
+            sys.noc.control_flits = u64::from(u16::MAX);
+            sys.noc.data_flits = u64::from(u16::MAX);
+        }));
+    }
+
+    #[test]
+    fn ids_or_counts_past_the_trace_widths_are_rejected() {
+        assert!(!widths_ok(|sys| sys.core.cores = usize::from(u16::MAX)));
+        assert!(!widths_ok(|sys| sys.core.cores = usize::MAX));
+        assert!(!widths_ok(|sys| sys.noc.control_flits = 1 << 16));
+        assert!(!widths_ok(|sys| sys.noc.data_flits = u64::MAX));
+    }
+
+    #[test]
+    fn the_rejection_names_the_offending_field() {
+        let mut sys = SystemConfig::small_test();
+        sys.noc.data_flits = 70_000;
+        let err = std::panic::catch_unwind(|| check_trace_widths(&sys)).unwrap_err();
+        let msg = err.downcast_ref::<String>().expect("formatted message");
+        assert!(msg.contains("data_flits = 70000"), "{msg}");
     }
 }

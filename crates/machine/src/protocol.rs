@@ -6,6 +6,7 @@ use crate::core_state::ExecMode;
 use crate::dir::DirState;
 use crate::machine::Machine;
 use crate::msg::{CoreMsg, DirMsg, Event, ProbeOutcome, Request};
+use crate::trace::{narrow, TraceEvent};
 use chats_core::AbortCause;
 use chats_mem::{CoherenceState, Line, LineAddr};
 use chats_noc::{MsgClass, NodeId};
@@ -342,10 +343,10 @@ impl Machine {
             OwnerAction::Forward(pic) => {
                 self.cores[core].attempt_forwarded = true;
                 self.stats.forwardings += 1;
-                self.trace.record(crate::trace::TraceEvent::Forward {
+                self.trace.record(TraceEvent::Forward {
                     at: self.clock,
-                    from: core,
-                    to: req.core,
+                    from: narrow(core),
+                    to: narrow(req.core),
                     line: req.line,
                     pic,
                 });
@@ -608,11 +609,11 @@ impl Machine {
         }
         // Room in the VSB? If not, treat like a stall and retry the access.
         if self.cores[core].vsb.insert(line, data) {
-            self.trace.record(crate::trace::TraceEvent::VsbInsert {
+            self.trace.record(TraceEvent::VsbInsert {
                 at: self.clock,
-                core,
+                core: narrow(core),
                 line,
-                occupancy: self.cores[core].vsb.len(),
+                occupancy: narrow(self.cores[core].vsb.len()),
             });
         } else if !self.cores[core].vsb.contains(line) {
             self.stats.nacks += 1;

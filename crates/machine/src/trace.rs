@@ -17,6 +17,12 @@
 //! The event stream is ordered by emission: timestamps never decrease, and
 //! same-cycle events appear in protocol order. `chats-obs` reconstructs
 //! per-core transaction timelines and cycle-accounting breakdowns from it.
+//!
+//! An event is 24 bytes: timestamps and line addresses stay 64-bit, while
+//! core and node ids and flit counts are `u16` and VSB occupancy `u32`.
+//! [`crate::Machine::new`] rejects a configuration whose ids or flit
+//! counts would not fit, so every emission site narrows through
+//! `narrow` without loss.
 
 use chats_core::{AbortCause, Pic};
 use chats_mem::LineAddr;
@@ -31,21 +37,21 @@ pub enum TraceEvent {
         /// When.
         at: Cycle,
         /// Which core.
-        core: usize,
+        core: u16,
     },
     /// A transaction committed.
     Commit {
         /// When.
         at: Cycle,
         /// Which core.
-        core: usize,
+        core: u16,
     },
     /// A transaction attempt aborted.
     Abort {
         /// When.
         at: Cycle,
         /// Which core.
-        core: usize,
+        core: u16,
         /// Why.
         cause: AbortCause,
     },
@@ -54,9 +60,9 @@ pub enum TraceEvent {
         /// When.
         at: Cycle,
         /// Producer core.
-        from: usize,
+        from: u16,
         /// Consumer core.
-        to: usize,
+        to: u16,
         /// Conflicting line.
         line: LineAddr,
         /// The PiC carried by the `SpecResp` (`None` from power/naive/LEVC
@@ -68,7 +74,7 @@ pub enum TraceEvent {
         /// When.
         at: Cycle,
         /// Consumer core.
-        core: usize,
+        core: u16,
         /// The line that is now genuinely owned.
         line: LineAddr,
     },
@@ -77,14 +83,14 @@ pub enum TraceEvent {
         /// When.
         at: Cycle,
         /// Which core.
-        core: usize,
+        core: u16,
     },
     /// The fallback path was released (the non-speculative section ended).
     FallbackRelease {
         /// When.
         at: Cycle,
         /// Which core.
-        core: usize,
+        core: u16,
     },
     /// A message was injected into the interconnect. `arrive` is its
     /// (pre-computed, deterministic) arrival time at `dst`; the queueing
@@ -94,11 +100,11 @@ pub enum TraceEvent {
         /// Injection time.
         at: Cycle,
         /// Source node (cores `0..n`, then the directory).
-        src: usize,
+        src: u16,
         /// Destination node.
-        dst: usize,
+        dst: u16,
         /// Message size in flits.
-        flits: u64,
+        flits: u16,
         /// Arrival time at `dst`.
         arrive: Cycle,
     },
@@ -108,32 +114,32 @@ pub enum TraceEvent {
         /// When.
         at: Cycle,
         /// Which core.
-        core: usize,
+        core: u16,
     },
     /// The validation stall ended (the attempt committed or aborted).
     ValStallEnd {
         /// When.
         at: Cycle,
         /// Which core.
-        core: usize,
+        core: u16,
     },
     /// A speculatively received line entered the VSB.
     VsbInsert {
         /// When.
         at: Cycle,
         /// Consumer core.
-        core: usize,
+        core: u16,
         /// The guarded line.
         line: LineAddr,
         /// Entries held after the insertion.
-        occupancy: usize,
+        occupancy: u32,
     },
     /// A VSB entry was discarded unvalidated (its attempt aborted).
     VsbEvict {
         /// When.
         at: Cycle,
         /// Which core.
-        core: usize,
+        core: u16,
         /// The discarded line.
         line: LineAddr,
     },
@@ -145,7 +151,7 @@ pub enum TraceEvent {
         at: Cycle,
         /// The core the fault acted on (the requester for dropped
         /// requests, the receiver for perturbed responses).
-        core: usize,
+        core: u16,
         /// What was injected.
         kind: chats_faults::FaultKind,
     },
@@ -156,8 +162,27 @@ pub enum TraceEvent {
         /// When.
         at: Cycle,
         /// The stalled core.
-        core: usize,
+        core: u16,
     },
+}
+
+/// A full in-memory trace holds millions of events; keep each at 24 bytes.
+const _: () = assert!(std::mem::size_of::<TraceEvent>() == 24);
+
+/// Narrows a machine-side id or count to its trace field width.
+///
+/// # Panics
+///
+/// Panics if `n` does not fit, which [`crate::Machine::new`]'s
+/// configuration bound rules out (and, for VSB occupancy, the VSB's own
+/// allocation).
+#[inline]
+pub(crate) fn narrow<N, T>(n: N) -> T
+where
+    N: Copy + fmt::Display,
+    T: TryFrom<N>,
+{
+    T::try_from(n).unwrap_or_else(|_| panic!("{n} does not fit its trace field"))
 }
 
 impl TraceEvent {
@@ -198,8 +223,8 @@ impl TraceEvent {
             | TraceEvent::VsbInsert { core, .. }
             | TraceEvent::VsbEvict { core, .. }
             | TraceEvent::FaultInjected { core, .. }
-            | TraceEvent::WatchdogFired { core, .. } => Some(*core),
-            TraceEvent::Forward { from, .. } => Some(*from),
+            | TraceEvent::WatchdogFired { core, .. } => Some(usize::from(*core)),
+            TraceEvent::Forward { from, .. } => Some(usize::from(*from)),
             TraceEvent::NocSend { .. } => None,
         }
     }

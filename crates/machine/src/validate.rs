@@ -3,6 +3,7 @@
 
 use crate::machine::Machine;
 use crate::msg::{DirMsg, Event, Request};
+use crate::trace::{narrow, TraceEvent};
 use chats_core::{validation_pic_check, AbortCause, HtmSystem, Pic};
 use chats_mem::{Line, LineAddr};
 use chats_noc::MsgClass;
@@ -119,9 +120,9 @@ impl Machine {
             c.naive.on_successful_validation();
         }
         self.stats.validations_ok += 1;
-        self.trace.record(crate::trace::TraceEvent::Validated {
+        self.trace.record(TraceEvent::Validated {
             at: self.clock,
-            core,
+            core: narrow(core),
             line,
         });
         self.after_validation_step(core);

@@ -137,6 +137,10 @@ impl<W: Write> Drop for JsonlSink<W> {
 
 /// Parses a JSON-lines trace back into events (blank lines are skipped).
 ///
+/// A field out of its event's range (a core id past `u16`, say) and a
+/// `NocSend` arriving before its injection, which the machine never
+/// emits, are shape errors.
+///
 /// # Errors
 ///
 /// Reports the first I/O, JSON or shape error with its line number.
@@ -149,6 +153,16 @@ pub fn read_jsonl<R: BufRead>(reader: R) -> Result<Vec<TraceEvent>, String> {
         }
         let value = Value::parse(&line).map_err(|e| format!("line {}: {e}", idx + 1))?;
         let ev = TraceEvent::from_value(&value).map_err(|e| format!("line {}: {e}", idx + 1))?;
+        if let TraceEvent::NocSend { at, arrive, .. } = ev {
+            if arrive < at {
+                return Err(format!(
+                    "line {}: NocSend arrives at cycle {} before its injection at cycle {}",
+                    idx + 1,
+                    arrive.0,
+                    at.0
+                ));
+            }
+        }
         events.push(ev);
     }
     Ok(events)
@@ -235,6 +249,23 @@ mod tests {
         let text = "{\"TxBegin\":{\"at\":1,\"core\":0}}\nnot json\n";
         let err = read_jsonl(io::BufReader::new(text.as_bytes())).unwrap_err();
         assert!(err.starts_with("line 2:"), "got: {err}");
+    }
+
+    #[test]
+    fn out_of_range_ids_and_backward_arrivals_are_located() {
+        let text = "{\"TxBegin\":{\"at\":1,\"core\":0}}\n\
+                    {\"Commit\":{\"at\":2,\"core\":1099511627776}}\n";
+        let err = read_jsonl(io::BufReader::new(text.as_bytes())).unwrap_err();
+        assert!(err.starts_with("line 2:"), "got: {err}");
+        assert!(err.contains("out of range for u16"), "got: {err}");
+
+        let text = "{\"NocSend\":{\"at\":9,\"src\":0,\"dst\":4,\"flits\":1,\"arrive\":9}}\n\
+                    {\"NocSend\":{\"at\":9,\"src\":0,\"dst\":4,\"flits\":1,\"arrive\":5}}\n";
+        let err = read_jsonl(io::BufReader::new(text.as_bytes())).unwrap_err();
+        assert_eq!(
+            err,
+            "line 2: NocSend arrives at cycle 5 before its injection at cycle 9"
+        );
     }
 
     #[test]

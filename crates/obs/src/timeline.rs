@@ -87,19 +87,27 @@ pub struct CycleBreakdown {
 }
 
 impl CycleBreakdown {
-    /// Sum of all buckets — the cycles this breakdown accounts for.
+    /// Sum of all buckets — the cycles this breakdown accounts for
+    /// (saturating, like every sum this module folds from a trace).
     #[must_use]
     pub fn total(&self) -> u64 {
-        self.useful + self.wasted + self.validation_stall + self.fallback + self.other
+        [
+            self.wasted,
+            self.validation_stall,
+            self.fallback,
+            self.other,
+        ]
+        .into_iter()
+        .fold(self.useful, u64::saturating_add)
     }
 
     /// Adds `rhs` bucket-wise (for aggregating cores).
     pub fn accumulate(&mut self, rhs: &CycleBreakdown) {
-        self.useful += rhs.useful;
-        self.wasted += rhs.wasted;
-        self.validation_stall += rhs.validation_stall;
-        self.fallback += rhs.fallback;
-        self.other += rhs.other;
+        self.useful = self.useful.saturating_add(rhs.useful);
+        self.wasted = self.wasted.saturating_add(rhs.wasted);
+        self.validation_stall = self.validation_stall.saturating_add(rhs.validation_stall);
+        self.fallback = self.fallback.saturating_add(rhs.fallback);
+        self.other = self.other.saturating_add(rhs.other);
     }
 }
 
@@ -199,7 +207,6 @@ struct CoreScan {
     open_attempt: Option<Attempt>,
     stall_since: Option<Cycle>,
     fallback_since: Option<Cycle>,
-    vsb_now: usize,
 }
 
 impl Timeline {
@@ -209,7 +216,10 @@ impl Timeline {
     /// core's breakdown is accounted against this horizon. The stream is
     /// expected to be complete (an unbounded sink); on a truncated ring
     /// stream, unmatched end-events are skipped and the result is a
-    /// best-effort view.
+    /// best-effort view. An end event earlier than its begin (a damaged
+    /// stream, or a horizon below an open span's start) is unmatched too,
+    /// so no span ever runs backwards, and every sum saturates instead of
+    /// wrapping.
     #[must_use]
     pub fn rebuild(events: &[TraceEvent], total_cycles: u64) -> Timeline {
         let ncores = events
@@ -218,7 +228,7 @@ impl Timeline {
                 // NocSend endpoints include the directory node; core
                 // events bound the core count exactly.
                 TraceEvent::NocSend { .. } => None,
-                TraceEvent::Forward { from, to, .. } => Some((*from).max(*to) + 1),
+                TraceEvent::Forward { from, to, .. } => Some(usize::from(*from.max(to)) + 1),
                 other => other.core().map(|c| c + 1),
             })
             .max()
@@ -233,7 +243,7 @@ impl Timeline {
         for ev in events {
             match ev {
                 TraceEvent::TxBegin { at, core } => {
-                    let s = &mut scans[*core];
+                    let s = &mut scans[usize::from(*core)];
                     // A TxBegin while an attempt is open means the stream
                     // lost the closing event; drop the half-seen attempt.
                     s.open_attempt = Some(Attempt {
@@ -250,20 +260,21 @@ impl Timeline {
                         vsb_peak: 0,
                     });
                     s.stall_since = None;
-                    s.vsb_now = 0;
                 }
                 TraceEvent::Commit { at, core } => {
+                    let core = usize::from(*core);
                     Timeline::close_attempt(
-                        &mut scans[*core],
-                        &mut tl.cores[*core],
+                        &mut scans[core],
+                        &mut tl.cores[core],
                         *at,
                         AttemptOutcome::Committed,
                     );
                 }
                 TraceEvent::Abort { at, core, cause } => {
+                    let core = usize::from(*core);
                     Timeline::close_attempt(
-                        &mut scans[*core],
-                        &mut tl.cores[*core],
+                        &mut scans[core],
+                        &mut tl.cores[core],
                         *at,
                         AttemptOutcome::Aborted(*cause),
                     );
@@ -275,8 +286,9 @@ impl Timeline {
                     line,
                     pic,
                 } => {
+                    let (from, to) = (usize::from(*from), usize::from(*to));
                     tl.chains.forwardings += 1;
-                    *tl.chains.graph.entry((*from, *to)).or_insert(0) += 1;
+                    *tl.chains.graph.entry((from, to)).or_insert(0) += 1;
                     *tl.hot_lines.entry(line.0).or_insert(0) += 1;
                     if let Some(p) = pic {
                         if let (Some(v), Some(init)) = (p.value(), Pic::INIT.value()) {
@@ -284,63 +296,66 @@ impl Timeline {
                             *tl.chains.pic_depth_hist.entry(depth).or_insert(0) += 1;
                         }
                     }
-                    if let Some(a) = scans[*from].open_attempt.as_mut() {
-                        a.forwards_out.push((*at, *to, *line));
+                    if let Some(a) = scans[from].open_attempt.as_mut() {
+                        a.forwards_out.push((*at, to, *line));
                     }
-                    if let Some(a) = scans[*to].open_attempt.as_mut() {
-                        a.forwards_in.push((*at, *from, *line));
+                    if let Some(a) = scans[to].open_attempt.as_mut() {
+                        a.forwards_in.push((*at, from, *line));
                     }
                 }
                 TraceEvent::Validated { at: _, core, .. } => {
-                    let s = &mut scans[*core];
-                    s.vsb_now = s.vsb_now.saturating_sub(1);
-                    if let Some(a) = s.open_attempt.as_mut() {
+                    if let Some(a) = scans[usize::from(*core)].open_attempt.as_mut() {
                         a.validations += 1;
                     }
                 }
                 TraceEvent::Fallback { at, core } => {
-                    scans[*core].fallback_since = Some(*at);
+                    scans[usize::from(*core)].fallback_since = Some(*at);
                 }
                 TraceEvent::FallbackRelease { at, core } => {
-                    let s = &mut scans[*core];
-                    if let Some(begin) = s.fallback_since.take() {
-                        tl.cores[*core].fallbacks.push(Interval { begin, end: *at });
+                    let core = usize::from(*core);
+                    let s = &mut scans[core];
+                    if let Some(begin) = s.fallback_since.filter(|begin| begin <= at) {
+                        s.fallback_since = None;
+                        tl.cores[core].fallbacks.push(Interval { begin, end: *at });
                     }
                 }
                 TraceEvent::NocSend {
                     at, flits, arrive, ..
                 } => {
+                    let flits = u64::from(*flits);
                     tl.noc.messages += 1;
-                    tl.noc.flits += *flits;
-                    let transit = arrive.0 - at.0;
-                    tl.noc.transit_cycles += transit;
-                    // Uncontended cost: serialize `flits` cycles at the
-                    // egress port, then one link hop (NocConfig default).
-                    tl.noc.queueing_cycles += transit.saturating_sub(*flits + 1);
+                    tl.noc.flits += flits;
+                    if let Some(transit) = arrive.0.checked_sub(at.0) {
+                        tl.noc.transit_cycles = tl.noc.transit_cycles.saturating_add(transit);
+                        // Uncontended cost: serialize `flits` cycles at the
+                        // egress port, then one link hop (NocConfig default).
+                        tl.noc.queueing_cycles = tl
+                            .noc
+                            .queueing_cycles
+                            .saturating_add(transit.saturating_sub(flits + 1));
+                    }
                 }
                 TraceEvent::ValStallBegin { at, core } => {
-                    scans[*core].stall_since = Some(*at);
+                    scans[usize::from(*core)].stall_since = Some(*at);
                 }
                 TraceEvent::ValStallEnd { at, core } => {
-                    let s = &mut scans[*core];
-                    if let (Some(begin), Some(a)) = (s.stall_since.take(), s.open_attempt.as_mut())
-                    {
-                        a.val_stall += at.0 - begin.0;
+                    let s = &mut scans[usize::from(*core)];
+                    if let Some(begin) = s.stall_since.filter(|begin| begin <= at) {
+                        s.stall_since = None;
+                        if let Some(a) = s.open_attempt.as_mut() {
+                            a.val_stall = a.val_stall.saturating_add(at.0 - begin.0);
+                        }
                     }
                 }
                 TraceEvent::VsbInsert {
                     core, occupancy, ..
                 } => {
-                    let s = &mut scans[*core];
-                    s.vsb_now = *occupancy;
-                    if let Some(a) = s.open_attempt.as_mut() {
-                        a.vsb_peak = a.vsb_peak.max(*occupancy);
+                    if let Some(a) = scans[usize::from(*core)].open_attempt.as_mut() {
+                        a.vsb_peak = a.vsb_peak.max(*occupancy as usize);
                     }
                 }
                 TraceEvent::VsbEvict { core, .. } => {
-                    let s = &mut scans[*core];
-                    s.vsb_now = s.vsb_now.saturating_sub(1);
-                    if let Some(a) = s.open_attempt.as_mut() {
+                    if let Some(a) = scans[usize::from(*core)].open_attempt.as_mut() {
                         a.evictions += 1;
                     }
                 }
@@ -348,24 +363,26 @@ impl Timeline {
                     *tl.faults.injections.entry(kind.label()).or_insert(0) += 1;
                 }
                 TraceEvent::WatchdogFired { at, core } => {
-                    tl.faults.watchdog.push((*at, *core));
+                    tl.faults.watchdog.push((*at, usize::from(*core)));
                 }
             }
         }
 
-        // Close whatever is still open at the horizon (timeout runs).
+        // Close whatever is still open at the horizon (timeout runs); a
+        // span that starts past the horizon has no end and is dropped.
         let end = Cycle(total_cycles);
         for (core, s) in scans.iter_mut().enumerate() {
-            if let Some(begin) = s.fallback_since.take() {
+            if let Some(begin) = s.fallback_since.take().filter(|begin| *begin <= end) {
                 tl.cores[core].fallbacks.push(Interval { begin, end });
             }
-            if let Some(mut a) = s.open_attempt.take() {
-                if let Some(begin) = s.stall_since.take() {
-                    a.val_stall += end.0 - begin.0;
-                }
-                a.span.end = end;
-                a.outcome = AttemptOutcome::Unfinished;
-                tl.cores[core].attempts.push(a);
+            if let Some(a) = s.open_attempt.take().filter(|a| a.span.begin <= end) {
+                Timeline::end_attempt(
+                    a,
+                    s.stall_since.take(),
+                    &mut tl.cores[core],
+                    end,
+                    AttemptOutcome::Unfinished,
+                );
             }
         }
 
@@ -382,17 +399,29 @@ impl Timeline {
         at: Cycle,
         outcome: AttemptOutcome,
     ) {
-        // A lone Commit/Abort (truncated stream) has nothing to close.
-        let Some(mut a) = scan.open_attempt.take() else {
+        // A lone Commit/Abort (truncated stream), or one earlier than the
+        // open attempt's begin, has nothing to close.
+        let Some(a) = scan.open_attempt.take_if(|a| a.span.begin <= at) else {
             return;
         };
-        if let Some(begin) = scan.stall_since.take() {
-            a.val_stall += at.0 - begin.0;
+        Timeline::end_attempt(a, scan.stall_since.take(), ct, at, outcome);
+    }
+
+    /// Ends attempt `a` at `at` (not before its begin), charging a stall
+    /// still open since `stall_since` up to `at`.
+    fn end_attempt(
+        mut a: Attempt,
+        stall_since: Option<Cycle>,
+        ct: &mut CoreTimeline,
+        at: Cycle,
+        outcome: AttemptOutcome,
+    ) {
+        if let Some(begin) = stall_since {
+            a.val_stall = a.val_stall.saturating_add(at.0.saturating_sub(begin.0));
         }
         a.span.end = at;
         a.outcome = outcome;
         ct.attempts.push(a);
-        scan.vsb_now = 0;
     }
 
     /// Builds the strict partition for one core. Attempt and fallback
@@ -403,25 +432,20 @@ impl Timeline {
         for a in &ct.attempts {
             let span = a.span.len();
             let stall = a.val_stall.min(span);
-            match a.outcome {
-                AttemptOutcome::Committed => {
-                    b.useful += span - stall;
-                    b.validation_stall += stall;
-                }
-                AttemptOutcome::Aborted(_) => {
-                    b.wasted += span - stall;
-                    b.validation_stall += stall;
-                }
+            let bucket = match a.outcome {
+                AttemptOutcome::Committed => &mut b.useful,
+                AttemptOutcome::Aborted(_) => &mut b.wasted,
                 // Unfinished work is neither proven useful nor wasted;
                 // leave it in `other` (the remainder) rather than guess.
-                AttemptOutcome::Unfinished => {}
-            }
+                AttemptOutcome::Unfinished => continue,
+            };
+            *bucket = bucket.saturating_add(span - stall);
+            b.validation_stall = b.validation_stall.saturating_add(stall);
         }
         for f in &ct.fallbacks {
-            b.fallback += f.len();
+            b.fallback = b.fallback.saturating_add(f.len());
         }
-        let classified = b.useful + b.wasted + b.validation_stall + b.fallback;
-        b.other = total_cycles.saturating_sub(classified);
+        b.other = total_cycles.saturating_sub(b.total());
         b
     }
 
@@ -465,9 +489,9 @@ impl Timeline {
 /// union-find over `(core, attempt-generation)` nodes.
 fn chain_lengths(events: &[TraceEvent]) -> BTreeMap<usize, u64> {
     // Attempt generation counter per core: bumped on TxBegin.
-    let mut generation: BTreeMap<usize, u64> = BTreeMap::new();
+    let mut generation: BTreeMap<u16, u64> = BTreeMap::new();
     // Union-find over (core, generation) node ids.
-    let mut ids: BTreeMap<(usize, u64), usize> = BTreeMap::new();
+    let mut ids: BTreeMap<(u16, u64), usize> = BTreeMap::new();
     let mut parent: Vec<usize> = Vec::new();
 
     fn find(parent: &mut [usize], mut x: usize) -> usize {
@@ -478,14 +502,13 @@ fn chain_lengths(events: &[TraceEvent]) -> BTreeMap<usize, u64> {
         x
     }
 
-    let node =
-        |ids: &mut BTreeMap<(usize, u64), usize>, parent: &mut Vec<usize>, key: (usize, u64)| {
-            *ids.entry(key).or_insert_with(|| {
-                let id = parent.len();
-                parent.push(id);
-                id
-            })
-        };
+    let node = |ids: &mut BTreeMap<(u16, u64), usize>, parent: &mut Vec<usize>, key: (u16, u64)| {
+        *ids.entry(key).or_insert_with(|| {
+            let id = parent.len();
+            parent.push(id);
+            id
+        })
+    };
 
     for ev in events {
         match ev {
@@ -522,21 +545,21 @@ fn chain_lengths(events: &[TraceEvent]) -> BTreeMap<usize, u64> {
 mod tests {
     use super::*;
 
-    fn ev_begin(at: u64, core: usize) -> TraceEvent {
+    fn ev_begin(at: u64, core: u16) -> TraceEvent {
         TraceEvent::TxBegin {
             at: Cycle(at),
             core,
         }
     }
 
-    fn ev_commit(at: u64, core: usize) -> TraceEvent {
+    fn ev_commit(at: u64, core: u16) -> TraceEvent {
         TraceEvent::Commit {
             at: Cycle(at),
             core,
         }
     }
 
-    fn ev_abort(at: u64, core: usize) -> TraceEvent {
+    fn ev_abort(at: u64, core: u16) -> TraceEvent {
         TraceEvent::Abort {
             at: Cycle(at),
             core,
@@ -679,6 +702,72 @@ mod tests {
         assert_eq!(tl.noc.flits, 6);
         assert_eq!(tl.noc.transit_cycles, 9);
         assert_eq!(tl.noc.queueing_cycles, 1);
+    }
+
+    #[test]
+    fn ends_before_their_begins_are_unmatched() {
+        let events = vec![
+            ev_begin(10, 0),
+            ev_commit(5, 0),
+            TraceEvent::ValStallBegin {
+                at: Cycle(30),
+                core: 0,
+            },
+            TraceEvent::ValStallEnd {
+                at: Cycle(20),
+                core: 0,
+            },
+            TraceEvent::Fallback {
+                at: Cycle(40),
+                core: 1,
+            },
+            TraceEvent::FallbackRelease {
+                at: Cycle(35),
+                core: 1,
+            },
+            TraceEvent::NocSend {
+                at: Cycle(9),
+                src: 0,
+                dst: 2,
+                flits: 1,
+                arrive: Cycle(5),
+            },
+        ];
+        let tl = Timeline::rebuild(&events, 50);
+        let a = &tl.cores[0].attempts[0];
+        assert_eq!(tl.cores[0].attempts.len(), 1);
+        assert_eq!(a.outcome, AttemptOutcome::Unfinished, "the early commit");
+        assert_eq!((a.span.begin, a.span.end), (Cycle(10), Cycle(50)));
+        assert_eq!(a.val_stall, 20, "the stall stays open to the horizon");
+        assert_eq!(
+            tl.cores[1].fallbacks,
+            [Interval {
+                begin: Cycle(40),
+                end: Cycle(50)
+            }]
+        );
+        assert_eq!((tl.noc.messages, tl.noc.transit_cycles), (1, 0));
+        assert_eq!(tl.aggregate().total(), 100);
+
+        // A horizon below an open span's begin drops the span.
+        let tl = Timeline::rebuild(&events, 8);
+        assert!(tl.cores[0].attempts.is_empty());
+        assert!(tl.cores[1].fallbacks.is_empty());
+        assert_eq!(tl.aggregate().total(), 16);
+    }
+
+    #[test]
+    fn sums_saturate_instead_of_wrapping() {
+        let events = vec![
+            ev_begin(0, 0),
+            ev_commit(u64::MAX, 0),
+            ev_begin(0, 0),
+            ev_commit(u64::MAX, 0),
+            ev_begin(0, 1),
+        ];
+        let tl = Timeline::rebuild(&events, u64::MAX);
+        assert_eq!(tl.cores[0].breakdown.useful, u64::MAX);
+        assert_eq!(tl.aggregate().total(), u64::MAX);
     }
 
     #[test]

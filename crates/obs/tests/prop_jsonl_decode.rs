@@ -1,11 +1,13 @@
 //! `read_jsonl` decodes trace files from disk, so it must be total: a
-//! recorded `cadd/chats` quick-scale trace with lines truncated and bytes
-//! flipped decodes to `Ok` or `Err` and never panics, and every event it
-//! accepts re-encodes to an event that decodes to itself.
+//! recorded `cadd/chats` quick-scale trace with lines swapped, truncated
+//! and bytes flipped decodes to `Ok` or `Err` and never panics, every
+//! event it accepts re-encodes to an event that decodes to itself, and
+//! every trace it accepts folds into a timeline and a report without a
+//! panic or a wrapped sum, at any horizon.
 
 use chats_core::{HtmSystem, PolicyConfig};
 use chats_machine::TraceEvent;
-use chats_obs::{read_jsonl, VecSink};
+use chats_obs::{read_jsonl, text_report, Timeline, VecSink};
 use chats_workloads::{registry, run_workload_traced, RunConfig};
 use proptest::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -35,12 +37,18 @@ proptest! {
     fn damaged_traces_decode_or_err_and_never_panic(
         start in any::<usize>(),
         len in 1usize..48,
+        swaps in proptest::collection::vec((any::<usize>(), any::<usize>()), 0..3),
         cuts in proptest::collection::vec((any::<usize>(), any::<usize>()), 0..3),
         flips in proptest::collection::vec((any::<usize>(), 1u8..=255), 0..4),
+        horizon in prop_oneof![0u64..4096, any::<u64>()],
     ) {
         let lines = recorded_lines();
         let start = start % lines.len();
         let mut window: Vec<String> = lines[start..lines.len().min(start + len)].to_vec();
+        for (a, b) in swaps {
+            let n = window.len();
+            window.swap(a % n, b % n);
+        }
         for (pick, at) in cuts {
             let n = window.len();
             let line = &mut window[pick % n];
@@ -58,6 +66,8 @@ proptest! {
             }
         }
         if let Ok(events) = read_jsonl(bytes.as_slice()) {
+            let report = text_report(&Timeline::rebuild(&events, horizon));
+            prop_assert!(report.starts_with(&format!("run: {horizon} cycles")));
             for ev in events {
                 prop_assert_eq!(TraceEvent::from_value(&ev.to_value()), Ok(ev));
             }

@@ -12,7 +12,7 @@
 //! cycle-accounting table; `export` writes a Chrome-trace JSON loadable
 //! in Perfetto (see EXPERIMENTS.md).
 
-use chats_obs::{chrome_trace, read_jsonl_file, text_report_with_regions, JsonlSink, Timeline};
+use chats_obs::{chrome_trace, read_jsonl, text_report_with_regions, JsonlSink, Timeline};
 use chats_runner::{JobSpec, Scale};
 use chats_workloads::registry;
 use serde::Value;
@@ -120,8 +120,21 @@ fn parse_args() -> Result<Command, String> {
     }
 }
 
-/// Bad input exits 2 with the usage text; a run or file that fails
-/// exits 1.
+/// A command that failed past the command line: a malformed trace file
+/// is bad input (exit 2), a failed run or unreadable file exits 1.
+struct Failure {
+    code: u8,
+    message: String,
+}
+
+impl From<String> for Failure {
+    fn from(message: String) -> Failure {
+        Failure { code: 1, message }
+    }
+}
+
+/// Bad input exits 2 (a bad command line also prints the usage text); a
+/// run or file that fails exits 1.
 fn main() -> ExitCode {
     let command = match parse_args() {
         Ok(c) => c,
@@ -141,9 +154,9 @@ fn main() -> ExitCode {
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("chats-trace: {e}");
-            ExitCode::FAILURE
+        Err(Failure { code, message }) => {
+            eprintln!("chats-trace: {message}");
+            ExitCode::from(code)
         }
     }
 }
@@ -155,12 +168,12 @@ fn meta_path(trace: &Path) -> PathBuf {
     trace.with_file_name(name)
 }
 
-fn cmd_record(job: &JobSpec, out: &Path) -> Result<(), String> {
+fn cmd_record(job: &JobSpec, out: &Path) -> Result<(), Failure> {
     let sink =
         JsonlSink::create(out).map_err(|e| format!("cannot create {}: {e}", out.display()))?;
     let (stats, sink) = job
         .execute_traced(Box::new(sink))
-        .map_err(|fail| fail.message)?;
+        .map_err(|fail| Failure::from(fail.message))?;
     let dropped = sink.dropped();
     if dropped > 0 {
         eprintln!("chats-trace: warning: {dropped} events dropped (write errors)");
@@ -198,8 +211,12 @@ fn cmd_record(job: &JobSpec, out: &Path) -> Result<(), String> {
 /// then meta sidecar, then the last event timestamp. The sidecar also
 /// gives the workload name and the recorder's dropped-event counter
 /// (empty and 0 when no sidecar exists).
-fn load_timeline(path: &Path, cycles: Option<u64>) -> Result<(Timeline, String, u64), String> {
-    let events = read_jsonl_file(path)?;
+fn load_timeline(path: &Path, cycles: Option<u64>) -> Result<(Timeline, String, u64), Failure> {
+    let file = std::fs::File::open(path).map_err(|e| format!("{}: {e}", path.display()))?;
+    let events = read_jsonl(std::io::BufReader::new(file)).map_err(|e| Failure {
+        code: 2,
+        message: format!("{}: {e}", path.display()),
+    })?;
     let mut workload = String::new();
     let mut cycles = cycles;
     let mut dropped = 0;
@@ -233,7 +250,7 @@ fn load_timeline(path: &Path, cycles: Option<u64>) -> Result<(Timeline, String, 
     Ok((Timeline::rebuild(&events, horizon), workload, dropped))
 }
 
-fn cmd_report(trace: &Path, cycles: Option<u64>, strict: bool) -> Result<(), String> {
+fn cmd_report(trace: &Path, cycles: Option<u64>, strict: bool) -> Result<(), Failure> {
     let (tl, workload, dropped) = load_timeline(trace, cycles)?;
     // The meta sidecar names the workload; its memory map (when it has
     // one — the evm family does) attributes hot lines to contract
@@ -248,13 +265,13 @@ fn cmd_report(trace: &Path, cycles: Option<u64>, strict: bool) -> Result<(), Str
              this report is built from an INCOMPLETE trace"
         );
         if strict {
-            return Err(format!("--strict: {dropped} dropped event(s)"));
+            return Err(format!("--strict: {dropped} dropped event(s)").into());
         }
     }
     Ok(())
 }
 
-fn cmd_export(trace: &Path, out: &Path, cycles: Option<u64>) -> Result<(), String> {
+fn cmd_export(trace: &Path, out: &Path, cycles: Option<u64>) -> Result<(), Failure> {
     let (tl, _, _) = load_timeline(trace, cycles)?;
     let v = chrome_trace(&tl);
     std::fs::write(out, v.to_compact()).map_err(|e| format!("{}: {e}", out.display()))?;

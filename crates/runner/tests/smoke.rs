@@ -351,3 +351,43 @@ fn trace_bad_input_exits_2_and_a_failed_command_exits_1() {
     assert!(stderr.contains("missing.jsonl"), "{stderr}");
     let _ = fs::remove_dir_all(&root);
 }
+
+/// A hostile trace file is bad input: a core id past `u16` and a message
+/// arriving before its injection each exit 2 naming the line, where they
+/// once aborted on a huge allocation and printed a wrapped transit sum.
+#[test]
+fn trace_report_rejects_hostile_traces_with_exit_2() {
+    let root = temp_root("trace-hostile");
+    let cases = [
+        (
+            "huge-core.jsonl",
+            "{\"TxBegin\":{\"at\":1,\"core\":0}}\n{\"Commit\":{\"at\":2,\"core\":1099511627776}}\n",
+            "line 2: 1099511627776 out of range for u16",
+        ),
+        (
+            "backward-send.jsonl",
+            "{\"TxBegin\":{\"at\":1,\"core\":0}}\n\
+             {\"NocSend\":{\"at\":9,\"src\":0,\"dst\":4,\"flits\":1,\"arrive\":5}}\n",
+            "line 2: NocSend arrives at cycle 5 before its injection at cycle 9",
+        ),
+    ];
+    for (name, text, says) in cases {
+        let path = root.join(name);
+        fs::write(&path, text).unwrap();
+        let out = chats_trace(&[
+            "report",
+            "--trace",
+            path.to_str().unwrap(),
+            "--cycles",
+            "10",
+        ]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{name}: {stderr}");
+        assert!(stderr.contains(says), "{name}: {stderr}");
+        assert!(
+            out.stdout.is_empty(),
+            "{name}: no report for a rejected trace"
+        );
+    }
+    let _ = fs::remove_dir_all(&root);
+}
