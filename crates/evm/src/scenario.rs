@@ -410,20 +410,13 @@ fn emit_native_transfer(
 ///
 /// # Panics
 ///
-/// Panics if `threads` or `txs_per_thread` is zero, or if the footprint
-/// (state plus parameter tables) would leave the backing store's dense
-/// fast path.
+/// Panics if `threads` or `txs_per_thread` is zero.
 #[must_use]
 pub fn build(kind: ScenarioKind, threads: usize, txs_per_thread: u64, seed: u64) -> EvmSetup {
     assert!(threads > 0 && txs_per_thread > 0, "degenerate scenario");
     let layout = StateLayout::standard();
     let table_base_line = layout.end_line();
     let stride_lines = txs_per_thread.div_ceil(WORDS_PER_LINE);
-    let table_end = table_base_line + threads as u64 * stride_lines;
-    assert!(
-        table_end <= chats_mem::DENSE_LINES as u64,
-        "scenario footprint {table_end} lines leaves the dense store fast path"
-    );
 
     let mut rng = SimRng::seed_from(seed ^ (0xE7_0001 * kind.name().len() as u64));
     let zipf_n = match kind {

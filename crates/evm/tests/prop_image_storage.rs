@@ -1,20 +1,16 @@
 //! `ImageStorage` ⇔ sorted-map equivalence.
 //!
-//! `ImageStorage` keeps the low word span in a flat array with a written
-//! bitmap and spills higher words into a sorted map. Its contract is the
-//! plain `BTreeMap<u64, u64>` it replaced: every `sload` returns the last
-//! value stored (zero if none), and `image()` lists every written word in
-//! address order, explicitly stored zeros included. These properties
-//! drive both over random store/load sequences whose addresses cluster
-//! at the bottom of the dense span, around its top edge and far above it.
+//! `ImageStorage`'s contract is the plain `BTreeMap<u64, u64>` it
+//! replaced: every `sload` returns the last value stored (zero if none),
+//! and `image()` lists every written word in address order, explicitly
+//! stored zeros included. These properties drive both over random
+//! store/load sequences whose addresses cluster at the bottom of memory,
+//! across a wide low span, at the top of the address space and anywhere.
 
 use chats_evm::{ImageStorage, Storage};
-use chats_mem::{Addr, DENSE_LINES, WORDS_PER_LINE};
+use chats_mem::Addr;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
-
-/// First word above the dense span.
-const EDGE: u64 = DENSE_LINES as u64 * WORDS_PER_LINE;
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -25,7 +21,7 @@ enum Op {
 fn addr_strategy() -> impl Strategy<Value = u64> {
     prop_oneof![
         0u64..256,
-        (EDGE - 70)..(EDGE + 70),
+        0u64..1 << 24,
         (u64::MAX - 64)..=u64::MAX,
         any::<u64>(),
     ]
@@ -73,8 +69,9 @@ fn seeding_from_an_image_reproduces_it() {
         (Addr(0), 0),
         (Addr(63), 5),
         (Addr(64), 6),
-        (Addr(EDGE - 1), 7),
-        (Addr(EDGE), 0),
+        (Addr((1 << 20) - 1), 7),
+        (Addr(1 << 20), 0),
+        (Addr(1 << 40), 8),
         (Addr(u64::MAX), 9),
     ];
     let storage = ImageStorage::from_image(&init);

@@ -378,7 +378,7 @@ impl Machine {
             clock: Cycle::ZERO,
             events: EventQueue::new(),
             xbar: Crossbar::new(sys.noc, n + 1),
-            dir: Directory::new(),
+            dir: Directory::default(),
             cores,
             lock: FallbackLock::new(),
             token: PowerToken::new(),

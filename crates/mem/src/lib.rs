@@ -12,7 +12,9 @@
 //!   (SM) bits for lazy versioning,
 //! * [`signature`] — the perfect read signature used for read-set tracking,
 //! * [`store`] — the backing store holding the committed version of every
-//!   line (the folded L2/L3/DRAM level behind the directory).
+//!   line (the folded L2/L3/DRAM level behind the directory),
+//! * [`line_table`] — the per-line table every structure above the cache
+//!   keeps its state in, and its snapshot section codecs.
 //!
 //! # Example
 //!
@@ -28,6 +30,7 @@ pub mod addr;
 pub mod cache;
 pub mod fasthash;
 pub mod line;
+pub mod line_table;
 pub mod signature;
 pub mod store;
 
@@ -35,13 +38,6 @@ pub use addr::{Addr, LineAddr, WORDS_PER_LINE};
 pub use cache::{Cache, CacheEntry, CoherenceState, EntryMut, EvictOutcome};
 pub use fasthash::{FastHashMap, FastHashSet, FxBuildHasher, FxHasher};
 pub use line::Line;
+pub use line_table::{LineSet, LineTable};
 pub use signature::ReadSignature;
 pub use store::BackingStore;
-
-/// Line indices below this are held in flat arrays indexed by line number
-/// instead of hash maps: the backing store, the directory's per-line
-/// state, the read signature's bitmap and the EVM ground-truth storage
-/// all share this span. Every workload in the registry allocates its heap
-/// from word 0 upward, so effectively all traffic takes the direct path;
-/// 2^15 lines is 2 MiB of payload, grown lazily only as far as touched.
-pub const DENSE_LINES: usize = 1 << 15;

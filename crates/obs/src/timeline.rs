@@ -427,11 +427,17 @@ impl Timeline {
     /// Builds the strict partition for one core. Attempt and fallback
     /// spans never overlap (fallback runs between attempts), so the
     /// classified cycles are disjoint and `other` is the exact remainder.
+    /// Every span is clipped to the horizon, so a `total_cycles` shorter
+    /// than the stream still partitions exactly.
     fn account(ct: &CoreTimeline, total_cycles: u64) -> CycleBreakdown {
+        // Cycles of `[from, to)` inside the horizon `h`.
+        let h = total_cycles;
+        let within = |from: u64, to: u64| to.min(h).saturating_sub(from.min(h));
         let mut b = CycleBreakdown::default();
         for a in &ct.attempts {
-            let span = a.span.len();
-            let stall = a.val_stall.min(span);
+            let (begin, end) = (a.span.begin.0, a.span.end.0);
+            // The validation stall closes the attempt.
+            let stall_from = end - a.val_stall.min(end - begin);
             let bucket = match a.outcome {
                 AttemptOutcome::Committed => &mut b.useful,
                 AttemptOutcome::Aborted(_) => &mut b.wasted,
@@ -439,11 +445,11 @@ impl Timeline {
                 // leave it in `other` (the remainder) rather than guess.
                 AttemptOutcome::Unfinished => continue,
             };
-            *bucket = bucket.saturating_add(span - stall);
-            b.validation_stall = b.validation_stall.saturating_add(stall);
+            *bucket = bucket.saturating_add(within(begin, stall_from));
+            b.validation_stall = b.validation_stall.saturating_add(within(stall_from, end));
         }
         for f in &ct.fallbacks {
-            b.fallback = b.fallback.saturating_add(f.len());
+            b.fallback = b.fallback.saturating_add(within(f.begin.0, f.end.0));
         }
         b.other = total_cycles.saturating_sub(b.total());
         b
@@ -599,6 +605,16 @@ mod tests {
         assert_eq!(b.fallback, 10);
         assert_eq!(b.other, 100 - 30 - 15 - 20 - 10);
         assert_eq!(b.total(), 100);
+    }
+
+    #[test]
+    fn spans_past_the_horizon_are_clipped() {
+        let events = vec![ev_begin(0, 0), ev_commit(50, 0)];
+        let tl = Timeline::rebuild(&events, 10);
+        let b = tl.cores[0].breakdown;
+        assert_eq!(b.total(), 10, "buckets sum to the horizon: {b:?}");
+        assert_eq!(b.useful, 10, "util is at most 100%");
+        assert_eq!(b.other, 0);
     }
 
     #[test]

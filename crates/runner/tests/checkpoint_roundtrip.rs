@@ -33,10 +33,14 @@ fn finish(
     }
 }
 
-/// One uninterrupted run with commitments armed: the snapshot bytes at
-/// the `MEET` boundary, the final statistics and the full chain.
-fn golden(cfg: &RunConfig) -> (Vec<u8>, chats_stats::RunStats, Vec<EpochCommitment>) {
-    let w = registry::by_name("cadd").expect("known workload");
+/// One uninterrupted run of `workload` with commitments armed: the
+/// snapshot bytes at the `MEET` boundary, the final statistics and the
+/// full chain.
+fn golden(
+    workload: &str,
+    cfg: &RunConfig,
+) -> (Vec<u8>, chats_stats::RunStats, Vec<EpochCommitment>) {
+    let w = registry::by_name(workload).expect("known workload");
     let PreparedRun { mut machine, .. } =
         prepare_run(w.as_ref(), PolicyConfig::for_system(HtmSystem::Chats), cfg);
     machine.set_commit_interval(STRIDE);
@@ -49,12 +53,12 @@ fn golden(cfg: &RunConfig) -> (Vec<u8>, chats_stats::RunStats, Vec<EpochCommitme
     (bytes, stats, machine.commitment_chain().to_vec())
 }
 
-/// Pause at the first stride, snapshot, restore into a *fresh* machine,
-/// and assert the continued run is byte-for-byte the golden one.
-fn round_trip(cfg: &RunConfig, tag: &str) {
-    let (golden_bytes, golden_stats, golden_chain) = golden(cfg);
+/// Pause `workload` at the first stride, snapshot, restore into a *fresh*
+/// machine, and assert the continued run is byte-for-byte the golden one.
+fn round_trip(workload: &str, cfg: &RunConfig, tag: &str) {
+    let (golden_bytes, golden_stats, golden_chain) = golden(workload, cfg);
 
-    let w = registry::by_name("cadd").expect("known workload");
+    let w = registry::by_name(workload).expect("known workload");
     let policy = PolicyConfig::for_system(HtmSystem::Chats);
     let PreparedRun { mut machine, .. } = prepare_run(w.as_ref(), policy, cfg);
     machine.set_commit_interval(STRIDE);
@@ -98,7 +102,7 @@ fn round_trip(cfg: &RunConfig, tag: &str) {
 
 #[test]
 fn clean_round_trip_is_byte_identical() {
-    round_trip(&RunConfig::quick_test(), "clean");
+    round_trip("cadd", &RunConfig::quick_test(), "clean");
 }
 
 #[test]
@@ -107,7 +111,15 @@ fn round_trip_under_lossy_noc_is_byte_identical() {
     // in the snapshot's env sections, so restore resumes the *faulted*
     // run bit-exactly — not a clean run from the same cycle.
     let cfg = RunConfig::quick_test().with_faults(FaultPlan::lossy_noc());
-    round_trip(&cfg, "lossy-noc");
+    round_trip("cadd", &cfg, "lossy-noc");
+}
+
+/// Genome publishes into slot lines from `1 << 16` upward, far above every
+/// other workload's heap, so its snapshot carries far-line store,
+/// directory and warm-set state.
+#[test]
+fn genome_round_trip_with_far_lines_is_byte_identical() {
+    round_trip("genome", &RunConfig::quick_test(), "genome");
 }
 
 /// `true` while some core's L1 holds SM or spec-received lines.

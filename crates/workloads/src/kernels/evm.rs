@@ -108,7 +108,8 @@ impl Workload for EvmWorkload {
     fn regions(&self) -> Vec<MemRegion> {
         let l = StateLayout::standard();
         // The parameter tables span from the end of state to wherever
-        // the thread count puts them; attribute the whole tail.
+        // the thread count puts them; attribute the whole tail of the
+        // line space.
         vec![
             MemRegion {
                 name: "accounts",
@@ -128,7 +129,7 @@ impl Workload for EvmWorkload {
             MemRegion {
                 name: "params",
                 base_line: l.end_line(),
-                lines: chats_mem::DENSE_LINES as u64 - l.end_line(),
+                lines: u64::MAX - l.end_line(),
             },
         ]
     }
