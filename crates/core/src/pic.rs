@@ -32,7 +32,7 @@ pub const PIC_ENCODING_LIMIT: u8 = u8::MAX;
 /// assert!(Pic::unset().is_unset());
 /// assert!(Pic::new(0).decremented().is_none()); // underflow
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, serde::Serialize)]
 pub struct Pic(Option<u8>);
 
 impl Pic {
@@ -132,6 +132,17 @@ impl Pic {
 impl Default for Pic {
     fn default() -> Pic {
         Pic::unset()
+    }
+}
+
+impl serde::Deserialize for Pic {
+    fn from_value(v: &serde::Value) -> Result<Pic, String> {
+        match Option::<u8>::from_value(v)? {
+            Some(PIC_ENCODING_LIMIT) => {
+                Err("PiC value collides with the reserved unset encoding".to_string())
+            }
+            raw => Ok(Pic(raw)),
+        }
     }
 }
 
@@ -242,6 +253,15 @@ mod tests {
     #[should_panic(expected = "encoding limit")]
     fn new_rejects_encoding_limit() {
         let _ = Pic::new(PIC_ENCODING_LIMIT);
+    }
+
+    #[test]
+    fn json_rejects_encoding_limit() {
+        use serde::{Deserialize, Serialize, Value};
+        for p in [Pic::unset(), Pic::new(0), Pic::new(PIC_ENCODING_LIMIT - 1)] {
+            assert_eq!(Pic::from_value(&p.to_value()), Ok(p));
+        }
+        assert!(Pic::from_value(&Value::parse("255").unwrap()).is_err());
     }
 
     #[test]

@@ -52,7 +52,7 @@ const ENV_SECTIONS: [&str; 2] = ["env.faults", "env.watchdog"];
 /// gates. On the paper-scale evm cells the state is larger: commitments
 /// take 28% of host time on `evm-token-storm/chats` (1.8 ms each) and 26%
 /// on `evm-transfers/chats` (2.1 ms each); DESIGN §16 has the
-/// measurement, ROADMAP item 2 the open work.
+/// measurement, ROADMAP item 1 the open work.
 pub const DEFAULT_COMMIT_INTERVAL: u64 = 65_536;
 
 /// The full/arch commitment pair of one machine state.

@@ -14,9 +14,13 @@
 //!   [`Trace::enabled`] first, so a machine without a sink never even
 //!   constructs the events (zero allocations on the hot path).
 //!
-//! The event stream is ordered by emission: timestamps never decrease, and
-//! same-cycle events appear in protocol order. `chats-obs` reconstructs
-//! per-core transaction timelines and cycle-accounting breakdowns from it.
+//! The event stream is ordered by emission, not by timestamp. Each core's
+//! own events (those with [`TraceEvent::core`], and a `Forward` on its
+//! consumer side too) never step back in time, and same-cycle events
+//! appear in protocol order; `chats-obs` relies on that to reconstruct
+//! per-core transaction timelines and cycle-accounting breakdowns. Events
+//! of different cores interleave, so the stream as a whole steps back by
+//! up to a few hundred cycles, and so do `NocSend`s from one source.
 //!
 //! An event is 24 bytes: timestamps and line addresses stay 64-bit, while
 //! core and node ids and flit counts are `u16` and VSB occupancy `u32`.
@@ -299,8 +303,8 @@ impl fmt::Display for TraceEvent {
 /// Where trace events go. Implementations must be cheap: `record` sits on
 /// the protocol hot path whenever tracing is enabled.
 pub trait TraceSink {
-    /// Accepts one event. Events arrive in emission order (timestamps
-    /// never decrease).
+    /// Accepts one event. Events arrive in emission order: time order per
+    /// core, but not across cores (see the module docs).
     fn record(&mut self, ev: TraceEvent);
 
     /// Events this sink has discarded (capacity, I/O errors, ...).

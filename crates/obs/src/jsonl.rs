@@ -1,17 +1,19 @@
-//! Unbounded capture sinks: in-memory vector and streaming JSON lines.
+//! Unbounded capture sinks: the in-memory log and streaming JSON lines.
 
+use crate::log::TraceLog;
 use chats_machine::{TraceEvent, TraceSink};
 use serde::{Deserialize, Serialize, Value};
 use std::io::{self, BufRead, BufWriter, Write};
 use std::path::Path;
 
-/// An unbounded in-memory sink: keeps every event in emission order.
+/// An unbounded in-memory sink: keeps every event in emission order in a
+/// compact [`TraceLog`] (a few bytes per event).
 ///
 /// Use this when the run is small enough to hold (tests, examples,
 /// profiling reruns); for long runs prefer [`JsonlSink`].
 #[derive(Debug, Default)]
 pub struct VecSink {
-    events: Vec<TraceEvent>,
+    events: TraceLog,
 }
 
 impl VecSink {
@@ -23,7 +25,7 @@ impl VecSink {
 
     /// The captured events, oldest first.
     #[must_use]
-    pub fn events(&self) -> &[TraceEvent] {
+    pub fn events(&self) -> &TraceLog {
         &self.events
     }
 
@@ -34,7 +36,7 @@ impl VecSink {
     ///
     /// Panics if the box holds some other sink type.
     #[must_use]
-    pub fn into_events(sink: Box<dyn TraceSink>) -> Vec<TraceEvent> {
+    pub fn into_events(sink: Box<dyn TraceSink>) -> TraceLog {
         let mut sink = sink;
         std::mem::take(
             &mut sink
@@ -48,7 +50,7 @@ impl VecSink {
 
 impl TraceSink for VecSink {
     fn record(&mut self, ev: TraceEvent) {
-        self.events.push(ev);
+        self.events.push(&ev);
     }
 
     fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
@@ -239,9 +241,11 @@ mod tests {
         for ev in sample_events() {
             sink.record(ev);
         }
-        assert_eq!(sink.events(), &sample_events()[..]);
+        assert_eq!(sink.events().iter().collect::<Vec<_>>(), sample_events());
         let boxed: Box<dyn TraceSink> = Box::new(sink);
-        assert_eq!(VecSink::into_events(boxed), sample_events());
+        let log = VecSink::into_events(boxed);
+        assert_eq!(log.len(), 5);
+        assert_eq!(log.iter().collect::<Vec<_>>(), sample_events());
     }
 
     #[test]

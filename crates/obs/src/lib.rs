@@ -6,10 +6,10 @@
 //! The machine emits a flat stream of [`chats_machine::TraceEvent`]s; this
 //! crate turns that stream into answers:
 //!
-//! * **Capture** — [`VecSink`] (unbounded in-memory) and [`JsonlSink`]
-//!   (streaming JSON-lines writer) implement
-//!   [`chats_machine::TraceSink`]; [`read_jsonl`] loads a written trace
-//!   back.
+//! * **Capture** — [`VecSink`] (unbounded in-memory, into a compact
+//!   [`TraceLog`]) and [`JsonlSink`] (streaming JSON-lines writer)
+//!   implement [`chats_machine::TraceSink`]; [`read_jsonl`] loads a
+//!   written trace back.
 //! * **Reconstruction** — [`Timeline::rebuild`] folds the stream into
 //!   per-core transaction attempts, validation-stall and fallback
 //!   intervals, and a strict per-core [`CycleBreakdown`] whose buckets sum
@@ -48,12 +48,14 @@
 
 mod chrome;
 mod jsonl;
+mod log;
 mod profile;
 mod report;
 mod timeline;
 
 pub use chrome::chrome_trace;
 pub use jsonl::{read_jsonl, read_jsonl_file, JsonlSink, VecSink};
+pub use log::{TraceLog, TraceLogIter};
 pub use profile::{profile_value, ProfileMeta};
 pub use report::{text_report, text_report_with_regions};
 pub use timeline::{

@@ -5,6 +5,7 @@ use chats_core::{AbortCause, Pic};
 use chats_machine::TraceEvent;
 use chats_mem::LineAddr;
 use chats_sim::Cycle;
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 
 /// A closed `[begin, end]` span on one core's timeline.
@@ -43,7 +44,7 @@ pub enum AttemptOutcome {
 }
 
 /// One reconstructed transaction attempt.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Attempt {
     /// The span from `TxBegin` to commit/abort.
     pub span: Interval,
@@ -112,7 +113,7 @@ impl CycleBreakdown {
 }
 
 /// One core's reconstructed history.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CoreTimeline {
     /// Attempts in begin order.
     pub attempts: Vec<Attempt>,
@@ -123,7 +124,7 @@ pub struct CoreTimeline {
 }
 
 /// Chain analytics extracted from `Forward` events.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ChainStats {
     /// Forwardings per PiC *depth* — the distance of the carried PiC from
     /// its initial middle-of-range value (0 = freshly linked pair).
@@ -183,7 +184,7 @@ impl FaultActivity {
 }
 
 /// The reconstructed run: per-core timelines plus run-wide analytics.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Timeline {
     /// Per-core histories, indexed by core id.
     pub cores: Vec<CoreTimeline>,
@@ -207,10 +208,19 @@ struct CoreScan {
     open_attempt: Option<Attempt>,
     stall_since: Option<Cycle>,
     fallback_since: Option<Cycle>,
+    /// The [`Chains`] node of the core's current attempt, once a
+    /// forwarding has touched it.
+    chain_node: Option<usize>,
 }
 
 impl Timeline {
-    /// Folds an event stream (emission order) into a timeline.
+    /// Folds an event stream (emission order) into a timeline, in one
+    /// pass.
+    ///
+    /// `events` is anything that yields the events in order: a
+    /// [`crate::TraceLog`] (decoded as it is read), a `Vec` or a slice.
+    /// The stream must keep each core's events in time order, as the
+    /// machine emits them; events of different cores interleave freely.
     ///
     /// `total_cycles` is the run length from `RunStats::cycles`; every
     /// core's breakdown is accounted against this horizon. The stream is
@@ -221,26 +231,31 @@ impl Timeline {
     /// so no span ever runs backwards, and every sum saturates instead of
     /// wrapping.
     #[must_use]
-    pub fn rebuild(events: &[TraceEvent], total_cycles: u64) -> Timeline {
-        let ncores = events
-            .iter()
-            .filter_map(|e| match e {
-                // NocSend endpoints include the directory node; core
-                // events bound the core count exactly.
-                TraceEvent::NocSend { .. } => None,
-                TraceEvent::Forward { from, to, .. } => Some(usize::from(*from.max(to)) + 1),
-                other => other.core().map(|c| c + 1),
-            })
-            .max()
-            .unwrap_or(0);
-        let mut scans: Vec<CoreScan> = (0..ncores).map(|_| CoreScan::default()).collect();
+    pub fn rebuild<I>(events: I, total_cycles: u64) -> Timeline
+    where
+        I: IntoIterator,
+        I::Item: Borrow<TraceEvent>,
+    {
+        let mut scans: Vec<CoreScan> = Vec::new();
+        let mut chains = Chains::default();
         let mut tl = Timeline {
-            cores: vec![CoreTimeline::default(); ncores],
             total_cycles,
             ..Timeline::default()
         };
 
         for ev in events {
+            let ev: &TraceEvent = ev.borrow();
+            // NocSend endpoints include the directory node; core events
+            // bound the core count exactly.
+            let cores = match ev {
+                TraceEvent::NocSend { .. } => 0,
+                TraceEvent::Forward { from, to, .. } => usize::from(*from.max(to)) + 1,
+                other => other.core().map_or(0, |c| c + 1),
+            };
+            if cores > scans.len() {
+                scans.resize_with(cores, CoreScan::default);
+                tl.cores.resize_with(cores, CoreTimeline::default);
+            }
             match ev {
                 TraceEvent::TxBegin { at, core } => {
                     let s = &mut scans[usize::from(*core)];
@@ -260,6 +275,7 @@ impl Timeline {
                         vsb_peak: 0,
                     });
                     s.stall_since = None;
+                    s.chain_node = None;
                 }
                 TraceEvent::Commit { at, core } => {
                     let core = usize::from(*core);
@@ -296,6 +312,9 @@ impl Timeline {
                             *tl.chains.pic_depth_hist.entry(depth).or_insert(0) += 1;
                         }
                     }
+                    let producer = chains.node(&mut scans[from].chain_node);
+                    let consumer = chains.node(&mut scans[to].chain_node);
+                    chains.union(producer, consumer);
                     if let Some(a) = scans[from].open_attempt.as_mut() {
                         a.forwards_out.push((*at, to, *line));
                     }
@@ -389,7 +408,7 @@ impl Timeline {
         for ct in &mut tl.cores {
             ct.breakdown = Timeline::account(ct, total_cycles);
         }
-        tl.chains.chain_len_hist = chain_lengths(events);
+        tl.chains.chain_len_hist = chains.histogram();
         tl
     }
 
@@ -487,64 +506,54 @@ impl Timeline {
     }
 }
 
-/// Groups forwardings into chains and histograms their sizes.
+/// Groups forwardings into chains, for their length histogram.
 ///
 /// A *chain instance* is a set of transactions linked by forwardings that
 /// are concurrently live; we approximate it by uniting forward edges whose
 /// endpoints share a core while that core's attempt is still open, i.e. a
-/// union-find over `(core, attempt-generation)` nodes.
-fn chain_lengths(events: &[TraceEvent]) -> BTreeMap<usize, u64> {
-    // Attempt generation counter per core: bumped on TxBegin.
-    let mut generation: BTreeMap<u16, u64> = BTreeMap::new();
-    // Union-find over (core, generation) node ids.
-    let mut ids: BTreeMap<(u16, u64), usize> = BTreeMap::new();
-    let mut parent: Vec<usize> = Vec::new();
+/// union-find over attempts, each a node from the first forwarding that
+/// touches it ([`CoreScan::chain_node`]).
+#[derive(Default)]
+struct Chains {
+    parent: Vec<usize>,
+}
 
-    fn find(parent: &mut [usize], mut x: usize) -> usize {
-        while parent[x] != x {
-            parent[x] = parent[parent[x]];
-            x = parent[x];
+impl Chains {
+    /// The node in `slot`, made on first use.
+    fn node(&mut self, slot: &mut Option<usize>) -> usize {
+        *slot.get_or_insert_with(|| {
+            self.parent.push(self.parent.len());
+            self.parent.len() - 1
+        })
+    }
+
+    fn find(&mut self, mut x: usize) -> usize {
+        while self.parent[x] != x {
+            self.parent[x] = self.parent[self.parent[x]];
+            x = self.parent[x];
         }
         x
     }
 
-    let node = |ids: &mut BTreeMap<(u16, u64), usize>, parent: &mut Vec<usize>, key: (u16, u64)| {
-        *ids.entry(key).or_insert_with(|| {
-            let id = parent.len();
-            parent.push(id);
-            id
-        })
-    };
-
-    for ev in events {
-        match ev {
-            TraceEvent::TxBegin { core, .. } => {
-                *generation.entry(*core).or_insert(0) += 1;
-            }
-            TraceEvent::Forward { from, to, .. } => {
-                let gf = generation.get(from).copied().unwrap_or(0);
-                let gt = generation.get(to).copied().unwrap_or(0);
-                let a = node(&mut ids, &mut parent, (*from, gf));
-                let b = node(&mut ids, &mut parent, (*to, gt));
-                let (ra, rb) = (find(&mut parent, a), find(&mut parent, b));
-                if ra != rb {
-                    parent[ra] = rb;
-                }
-            }
-            _ => {}
+    fn union(&mut self, a: usize, b: usize) {
+        let (ra, rb) = (self.find(a), self.find(b));
+        if ra != rb {
+            self.parent[ra] = rb;
         }
     }
 
-    let mut sizes: BTreeMap<usize, usize> = BTreeMap::new();
-    let roots: Vec<usize> = (0..parent.len()).map(|i| find(&mut parent, i)).collect();
-    for r in roots {
-        *sizes.entry(r).or_insert(0) += 1;
+    /// Chains per length (transactions linked).
+    fn histogram(mut self) -> BTreeMap<usize, u64> {
+        let mut sizes = vec![0usize; self.parent.len()];
+        for x in 0..self.parent.len() {
+            sizes[self.find(x)] += 1;
+        }
+        let mut hist = BTreeMap::new();
+        for size in sizes.into_iter().filter(|&n| n > 0) {
+            *hist.entry(size).or_insert(0) += 1;
+        }
+        hist
     }
-    let mut hist = BTreeMap::new();
-    for size in sizes.values() {
-        *hist.entry(*size).or_insert(0) += 1;
-    }
-    hist
 }
 
 #[cfg(test)]

@@ -12,8 +12,10 @@
 //! ```
 
 use chats_core::{HtmSystem, PolicyConfig};
-use chats_machine::{Machine, TraceEvent, Tuning};
-use chats_obs::{chrome_trace, read_jsonl_file, text_report, JsonlSink, Timeline, VecSink};
+use chats_machine::{Machine, Tuning};
+use chats_obs::{
+    chrome_trace, read_jsonl_file, text_report, JsonlSink, Timeline, TraceLog, VecSink,
+};
 use chats_sim::SystemConfig;
 use chats_stats::RunStats;
 use chats_tvm::{Program, ProgramBuilder, Reg, Vm};
@@ -68,7 +70,7 @@ fn tail() -> Program {
     b.build()
 }
 
-fn run_chain3() -> (Vec<TraceEvent>, RunStats) {
+fn run_chain3() -> (TraceLog, RunStats) {
     let mut sys = SystemConfig::default();
     sys.core.cores = 3;
     let mut m = Machine::new(
@@ -251,11 +253,15 @@ fn jsonl_sink_round_trips_the_machine_stream() {
     {
         let mut sink = JsonlSink::create(&path).expect("create temp trace");
         for ev in &events {
-            sink.record(ev.clone());
+            sink.record(ev);
         }
         assert_eq!(sink.dropped(), 0);
     } // Drop flushes.
     let parsed = read_jsonl_file(&path).expect("trace parses");
     std::fs::remove_file(&path).ok();
-    assert_eq!(parsed, events, "JSONL round-trip is lossless");
+    assert_eq!(
+        parsed,
+        events.iter().collect::<Vec<_>>(),
+        "JSONL round-trip is lossless"
+    );
 }

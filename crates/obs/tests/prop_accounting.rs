@@ -2,15 +2,40 @@
 //! configurations, seeds, and every HTM system, the per-core breakdown
 //! reconstructed from the trace must partition the run — the five buckets
 //! sum EXACTLY to the machine's total cycle count on every core, and the
-//! timeline's commit count matches the machine's own statistics.
+//! timeline's commit count matches the machine's own statistics. Every
+//! traced run also keeps each core's events in time order, which the
+//! reconstruction relies on.
 
 use chats_core::{HtmSystem, PolicyConfig};
-use chats_machine::{Machine, Tuning};
-use chats_obs::{Timeline, VecSink};
-use chats_sim::SystemConfig;
+use chats_machine::{Machine, TraceEvent, Tuning};
+use chats_obs::{Timeline, TraceLog, VecSink};
+use chats_sim::{Cycle, SystemConfig};
 use chats_tvm::{gen, Vm};
 use chats_workloads::{registry, run_workload_traced, RunConfig};
 use proptest::prelude::*;
+
+/// Each core's own events, and a `Forward` on its consumer side too, never
+/// step back in time; the stream as a whole may, since cores interleave.
+fn assert_per_core_time_order(events: &TraceLog, what: &str) {
+    let mut last: Vec<Cycle> = Vec::new();
+    for ev in events {
+        let cores = match ev {
+            TraceEvent::Forward { from, to, .. } => [Some(from.into()), Some(to.into())],
+            ref other => [other.core(), None],
+        };
+        for core in cores.into_iter().flatten() {
+            if core >= last.len() {
+                last.resize(core + 1, Cycle(0));
+            }
+            assert!(
+                ev.at() >= last[core],
+                "{what}: core {core} steps back from cycle {} to {ev}",
+                last[core].0
+            );
+            last[core] = ev.at();
+        }
+    }
+}
 
 fn run_case(system: HtmSystem, threads: usize, iters: u64, per_tx: u64, pool: u64, seed: u64) {
     let kernel = gen::torture(iters, per_tx, pool);
@@ -30,6 +55,7 @@ fn run_case(system: HtmSystem, threads: usize, iters: u64, per_tx: u64, pool: u6
         .run(100_000_000)
         .unwrap_or_else(|e| panic!("{system:?} t={threads} seed={seed}: {e}"));
     let events = VecSink::into_events(m.take_trace_sink().expect("sink installed"));
+    assert_per_core_time_order(&events, &format!("{system:?} seed={seed}"));
     let tl = Timeline::rebuild(&events, stats.cycles);
 
     assert_eq!(tl.cores.len(), threads, "one timeline track per core");
@@ -91,6 +117,8 @@ fn workload_runs_partition_exactly() {
         ("cadd", HtmSystem::Chats),
         ("llb-l", HtmSystem::Baseline),
         ("llb-h", HtmSystem::Pchats),
+        ("kmeans-h", HtmSystem::Chats),
+        ("evm-token-storm", HtmSystem::Chats),
     ] {
         let workload = registry::by_name(name).expect("registered workload");
         let cfg = RunConfig::quick_test();
@@ -99,6 +127,7 @@ fn workload_runs_partition_exactly() {
             run_workload_traced(workload.as_ref(), policy, &cfg, Box::new(VecSink::new()))
                 .expect("workload completes");
         let events = VecSink::into_events(sink);
+        assert_per_core_time_order(&events, &format!("{name} under {system:?}"));
         let tl = Timeline::rebuild(&events, stats.cycles);
         assert_eq!(
             tl.aggregate().total(),

@@ -3,10 +3,12 @@
 //! and bytes flipped decodes to `Ok` or `Err` and never panics, every
 //! event it accepts re-encodes to an event that decodes to itself, and
 //! every trace it accepts folds into a timeline and a report without a
-//! panic or a wrapped sum, at any horizon.
+//! panic or a wrapped sum, at any horizon. Every accepted trace also
+//! round-trips through a `VecSink`'s compact log, and the timeline
+//! rebuilt from the log equals the one rebuilt from the decoded `Vec`.
 
 use chats_core::{HtmSystem, PolicyConfig};
-use chats_machine::TraceEvent;
+use chats_machine::{TraceEvent, TraceSink};
 use chats_obs::{read_jsonl, text_report, Timeline, VecSink};
 use chats_workloads::{registry, run_workload_traced, RunConfig};
 use proptest::prelude::*;
@@ -66,7 +68,16 @@ proptest! {
             }
         }
         if let Ok(events) = read_jsonl(bytes.as_slice()) {
-            let report = text_report(&Timeline::rebuild(&events, horizon));
+            let mut sink = VecSink::new();
+            for ev in &events {
+                sink.record(ev.clone());
+            }
+            let log = sink.events();
+            prop_assert_eq!(log.len(), events.len());
+            prop_assert_eq!(log.iter().collect::<Vec<_>>(), events.clone());
+            let tl = Timeline::rebuild(&events, horizon);
+            prop_assert_eq!(Timeline::rebuild(log, horizon), tl.clone());
+            let report = text_report(&tl);
             prop_assert!(report.starts_with(&format!("run: {horizon} cycles")));
             for ev in events {
                 prop_assert_eq!(TraceEvent::from_value(&ev.to_value()), Ok(ev));
@@ -81,6 +92,15 @@ fn the_undamaged_trace_decodes_in_full() {
     assert!(lines.len() > 100, "trace too short: {} events", lines.len());
     let events = read_jsonl(lines.join("\n").as_bytes()).unwrap();
     assert_eq!(events.len(), lines.len());
+    let mut sink = VecSink::new();
+    for ev in &events {
+        sink.record(ev.clone());
+    }
+    assert_eq!(sink.events().iter().collect::<Vec<_>>(), events);
+    assert_eq!(
+        Timeline::rebuild(sink.events(), u64::MAX),
+        Timeline::rebuild(&events, u64::MAX)
+    );
     let first = read_jsonl(format!("{}\n{{", lines[0]).as_bytes()).unwrap_err();
     assert!(first.starts_with("line 2: "), "{first}");
 }

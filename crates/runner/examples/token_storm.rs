@@ -8,8 +8,8 @@
 //! ```
 //!
 //! Prints, per system, the commit throughput (in simulated time and in
-//! host wall clock) and the chain-length histogram reconstructed from
-//! the protocol trace.
+//! host wall clock), the size of the in-memory protocol trace and the
+//! chain-length histogram reconstructed from it.
 
 use chats_core::{HtmSystem, PolicyConfig};
 use chats_obs::{Timeline, VecSink};
@@ -60,6 +60,11 @@ fn main() {
         println!(
             "  user-txns/sec     {:.0} (host wall clock)",
             s.commits as f64 / wall.as_secs_f64().max(1e-9)
+        );
+        println!(
+            "  trace             {} events, {:.2} B/event in memory",
+            events.len(),
+            events.encoded_bytes() as f64 / events.len().max(1) as f64
         );
         let chains: Histogram = tl
             .chains
