@@ -9,9 +9,9 @@
 //! call — between one `tx_begin`/`tx_end` pair. Because the parameters
 //! come from the table rather than in-transaction randomness, an aborted
 //! transaction retries *the same* user transaction, and the committed
-//! stream is exactly the host-side [`Txn`] list — which is what makes a
-//! sequential replay of that list a word-for-word ground truth for the
-//! commutative scenarios.
+//! stream is exactly the table decoded into [`Txn`]s — which is what
+//! makes a sequential replay of the decoded table a word-for-word ground
+//! truth for the commutative scenarios.
 //!
 //! The three generators, in increasing contention sophistication:
 //!
@@ -165,7 +165,8 @@ impl StateCheck {
 pub struct EvmSetup {
     /// One program per thread.
     pub programs: Vec<EvmProgram>,
-    /// Initial memory image (state seeds plus the parameter tables).
+    /// Initial memory image: the parameter tables, thread by thread and
+    /// each in stream order, then the state seeds.
     pub init: Vec<(Addr, u64)>,
     /// Final-state acceptance check.
     pub check: StateCheck,
@@ -176,10 +177,22 @@ pub struct EvmSetup {
     pub user_txs: u64,
     /// Total gas the stream consumes (sequential accounting).
     pub gas_total: u64,
-    /// The per-thread transaction streams (the ground truth input).
-    pub txns: Vec<Vec<Txn>>,
     /// The state layout everything was compiled against.
     pub layout: StateLayout,
+}
+
+impl EvmSetup {
+    /// The per-thread transaction streams (the ground truth input),
+    /// decoded from the parameter tables at the front of
+    /// [`EvmSetup::init`].
+    #[must_use]
+    pub fn txns(&self) -> Vec<Vec<Txn>> {
+        let per_thread = self.user_txs as usize / self.programs.len();
+        self.init[..self.user_txs as usize]
+            .chunks(per_thread)
+            .map(|table| table.iter().map(|&(_, packed)| txn_of(packed)).collect())
+            .collect()
+    }
 }
 
 /// Transaction-kind discriminants in the packed parameter word.
@@ -230,8 +243,14 @@ fn pack(kind: u64, from: u64, to: u64, amount: u64) -> u64 {
     from | to << 16 | amount << 32 | kind << 56
 }
 
-fn txn_of(kind: u64, from: u64, to: u64, amount: u64) -> Txn {
-    match kind {
+/// Decodes a packed parameter word (see [`pack`]) into its transaction.
+fn txn_of(packed: u64) -> Txn {
+    let (from, to, amount) = (
+        packed & 0xFFFF,
+        packed >> 16 & 0xFFFF,
+        packed >> 32 & 0xFFFF,
+    );
+    match packed >> 56 {
         KIND_TRANSFER => Txn::Transfer { from, to, amount },
         KIND_MINT => Txn::Call {
             caller: from,
@@ -254,7 +273,7 @@ fn txn_of(kind: u64, from: u64, to: u64, amount: u64) -> Txn {
             args: vec![amount],
             gas_limit: TX_GAS_LIMIT,
         },
-        _ => unreachable!("unknown txn kind {kind}"),
+        kind => unreachable!("unknown txn kind {kind}"),
     }
 }
 
@@ -425,24 +444,16 @@ pub fn build(kind: ScenarioKind, threads: usize, txs_per_thread: u64, seed: u64)
     };
     let zipf = Zipf::new(zipf_n);
 
-    // Draw the per-thread streams and pack the parameter tables.
-    let mut init = Vec::new();
-    let mut txns: Vec<Vec<Txn>> = Vec::with_capacity(threads);
+    // Draw the per-thread streams straight into the parameter tables.
+    let user_txs = threads as u64 * txs_per_thread;
+    let mut init = Vec::with_capacity(user_txs as usize);
     for t in 0..threads {
         let mut trng = rng.fork(t as u64);
         let base_word = (table_base_line + t as u64 * stride_lines) * WORDS_PER_LINE;
-        let mut stream = Vec::with_capacity(txs_per_thread as usize);
         for k in 0..txs_per_thread {
             let packed = draw_txn(kind, &layout, &zipf, &mut trng);
             init.push((Addr(base_word + k), packed));
-            let (from, to, amount) = (
-                packed & 0xFFFF,
-                packed >> 16 & 0xFFFF,
-                packed >> 32 & 0xFFFF,
-            );
-            stream.push(txn_of(packed >> 56, from, to, amount));
         }
-        txns.push(stream);
     }
 
     // State seeds.
@@ -469,20 +480,18 @@ pub fn build(kind: ScenarioKind, threads: usize, txs_per_thread: u64, seed: u64)
         }
     }
 
-    // Sequential ground truth: replay every stream on the reference
-    // machine over the same initial image.
+    // Sequential ground truth: replay every stream, decoded from its
+    // table, on the reference machine over the same initial image.
     let mut machine = Machine::new(
         ContractBank::library(&layout),
         layout,
         ImageStorage::from_image(&init),
     );
     let mut gas_total = 0u64;
-    for stream in &txns {
-        for txn in stream {
-            let r = execute_txn(&mut machine, txn)
-                .unwrap_or_else(|e| panic!("ground-truth execution failed: {e}"));
-            gas_total += r.gas_used;
-        }
+    for &(_, packed) in &init[..user_txs as usize] {
+        let r = execute_txn(&mut machine, &txn_of(packed))
+            .unwrap_or_else(|e| panic!("ground-truth execution failed: {e}"));
+        gas_total += r.gas_used;
     }
     let ground_truth = machine.into_storage();
 
@@ -593,9 +602,8 @@ pub fn build(kind: ScenarioKind, threads: usize, txs_per_thread: u64, seed: u64)
         init,
         check,
         regions,
-        user_txs: threads as u64 * txs_per_thread,
+        user_txs,
         gas_total,
-        txns,
         layout,
     }
 }
@@ -649,7 +657,7 @@ mod tests {
         for kind in ScenarioKind::ALL {
             let a = build(kind, 2, 16, 9);
             let b = build(kind, 2, 16, 9);
-            assert_eq!(a.txns, b.txns, "{}", kind.name());
+            assert_eq!(a.txns(), b.txns(), "{}", kind.name());
             assert_eq!(a.init, b.init);
             let insts =
                 |p: &chats_tvm::Program| (0..p.len()).map(|i| p.fetch(i)).collect::<Vec<_>>();
@@ -662,7 +670,7 @@ mod tests {
     fn seeds_change_the_stream() {
         let a = build(ScenarioKind::TokenStorm, 2, 16, 1);
         let b = build(ScenarioKind::TokenStorm, 2, 16, 2);
-        assert_ne!(a.txns, b.txns);
+        assert_ne!(a.txns(), b.txns());
     }
 
     #[test]
@@ -683,7 +691,7 @@ mod tests {
     #[test]
     fn transfers_never_self_move() {
         let setup = build(ScenarioKind::Transfers, 4, 64, 3);
-        for stream in &setup.txns {
+        for stream in &setup.txns() {
             for t in stream {
                 if let Txn::Transfer { from, to, .. } = t {
                     assert_ne!(from, to);
@@ -696,7 +704,7 @@ mod tests {
     fn dex_streams_exclude_the_dex_account() {
         let setup = build(ScenarioKind::Dex, 4, 64, 3);
         let dex_acct = ContractBank::dex_account(&setup.layout);
-        for stream in &setup.txns {
+        for stream in &setup.txns() {
             for t in stream {
                 if let Txn::Call {
                     caller,

@@ -124,6 +124,13 @@ pub enum DirMsg {
     WbTiming,
 }
 
+// Every event queue node carries one `Event`, so its size is the
+// queue's footprint per pending event. It is 96 bytes because
+// `CoreMsg::Data` and `SpecResp` carry a 64-byte `Line` inline; moving
+// line payloads out of the event is ROADMAP item 9. The assertion makes
+// any change to the size a deliberate one.
+const _: () = assert!(std::mem::size_of::<Event>() == 96);
+
 /// All simulation events.
 #[derive(Debug, Clone)]
 pub enum Event {

@@ -10,6 +10,7 @@
 //! retry backoffs), so the common push and pop are O(1) with no
 //! comparisons, no per-entry sequence numbers, and no heap rebalancing.
 
+use std::cell::Cell;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
@@ -105,9 +106,35 @@ impl chats_snap::Snap for Cycle {
 /// a thousand cycles), so spillover is rare.
 const WHEEL_SLOTS: usize = 1024;
 const WHEEL_MASK: u64 = WHEEL_SLOTS as u64 - 1;
+/// Words in the slot-occupancy bitmap, one bit per slot.
+const OCCUPANCY_WORDS: usize = WHEEL_SLOTS / 64;
 /// Empty spillover buckets kept for reuse instead of returning their
 /// allocation; bounds the freelist so a burst cannot pin memory forever.
 const SPARE_BUCKETS: usize = 32;
+/// The null link of the node slab.
+const NIL: u32 = u32::MAX;
+
+/// One wheel slot: a FIFO linked through the node slab.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    head: u32,
+    tail: u32,
+    len: u32,
+}
+
+const EMPTY_SLOT: Slot = Slot {
+    head: NIL,
+    tail: NIL,
+    len: 0,
+};
+
+/// A slab entry: a queued event and the link to the next one in its slot,
+/// or (when free, `event` is `None`) the next free entry.
+#[derive(Debug, Clone)]
+struct Node<E> {
+    event: Option<E>,
+    next: u32,
+}
 
 /// A discrete-event priority queue with deterministic FIFO tie-breaking.
 ///
@@ -115,14 +142,20 @@ const SPARE_BUCKETS: usize = 32;
 /// were pushed. This makes whole-machine simulations reproducible: with a
 /// fixed seed, every run produces an identical event schedule.
 ///
-/// Internally a timing wheel: a ring of FIFO buckets covering the cycles
+/// Internally a timing wheel: a ring of FIFO slots covering the cycles
 /// `[wheel_base, wheel_base + WHEEL_SLOTS)`, plus a sorted spillover map
 /// for timestamps outside that window. Same-time events always land in
-/// the *same* bucket, so bucket order **is** FIFO order — no sequence
+/// the *same* slot, so slot order **is** FIFO order — no sequence
 /// numbers needed — and the tie set at the head of the queue is simply
-/// the front bucket, which makes [`EventQueue::tie_width`] O(1) and
+/// the front slot, which makes [`EventQueue::tie_width`] O(1) and
 /// [`EventQueue::pop_tied`] O(tie width) instead of the pop-all-and-push-
 /// back scan a heap would force.
+///
+/// Every slot's FIFO is a list linked through one node slab with a free
+/// list, so the wheel's events share one allocation that grows only to
+/// the peak number of queued events. A bitmap of non-empty slots finds
+/// the next occupied one a word at a time, and the head, once located,
+/// is cached until a pop moves it or a push lands before it.
 ///
 /// # Example
 ///
@@ -141,10 +174,18 @@ pub struct EventQueue<E> {
     /// The wheel. `slots[t & WHEEL_MASK]` holds the events for cycle `t`
     /// for every `t` in the window; a slot's events all share one
     /// timestamp because the window is exactly one wheel circumference.
-    slots: Vec<VecDeque<E>>,
+    slots: Box<[Slot; WHEEL_SLOTS]>,
+    /// Bit `s` is set exactly when `slots[s]` is non-empty.
+    occupied: [u64; OCCUPANCY_WORDS],
+    /// Storage for every event in the wheel.
+    nodes: Vec<Node<E>>,
+    /// First free entry of `nodes`, or `NIL`.
+    free: u32,
     /// Events outside the window: pushed beyond `wheel_base +
     /// WHEEL_SLOTS`, or (rare) pushed into the past behind `cursor`.
     overflow: BTreeMap<u64, VecDeque<E>>,
+    /// The smallest key of `overflow`.
+    overflow_min: Option<u64>,
     /// Recycled empty spillover buckets.
     spare: Vec<VecDeque<E>>,
     /// First cycle the wheel window covers.
@@ -156,10 +197,12 @@ pub struct EventQueue<E> {
     wheel_len: usize,
     /// Total events (wheel + overflow).
     len: usize,
+    /// Where the head is, once located; `None` when not yet known.
+    head: Cell<Option<Head>>,
 }
 
 /// Where the head of the queue currently lives.
-#[derive(Clone, Copy)]
+#[derive(Debug, Clone, Copy)]
 enum Head {
     /// In the wheel slot for this cycle.
     Slot(u64),
@@ -167,17 +210,30 @@ enum Head {
     Spill(u64),
 }
 
+impl Head {
+    fn time(self) -> u64 {
+        match self {
+            Head::Slot(t) | Head::Spill(t) => t,
+        }
+    }
+}
+
 impl<E> EventQueue<E> {
     /// Creates an empty queue.
     pub fn new() -> Self {
         EventQueue {
-            slots: (0..WHEEL_SLOTS).map(|_| VecDeque::new()).collect(),
+            slots: Box::new([EMPTY_SLOT; WHEEL_SLOTS]),
+            occupied: [0; OCCUPANCY_WORDS],
+            nodes: Vec::new(),
+            free: NIL,
             overflow: BTreeMap::new(),
+            overflow_min: None,
             spare: Vec::new(),
             wheel_base: 0,
             cursor: 0,
             wheel_len: 0,
             len: 0,
+            head: Cell::new(None),
         }
     }
 
@@ -189,111 +245,186 @@ impl<E> EventQueue<E> {
     /// Schedules `event` for delivery at `at`.
     pub fn push(&mut self, at: Cycle, event: E) {
         let t = at.0;
-        self.len += 1;
-        if t >= self.cursor && t < self.wheel_end() {
-            self.slots[(t & WHEEL_MASK) as usize].push_back(event);
-            self.wheel_len += 1;
+        let pushed = if t >= self.cursor && t < self.wheel_end() {
+            self.slot_push(t, event);
+            Head::Slot(t)
         } else {
             self.overflow
                 .entry(t)
                 .or_insert_with(|| self.spare.pop().unwrap_or_default())
                 .push_back(event);
+            if self.overflow_min.is_none_or(|m| t < m) {
+                self.overflow_min = Some(t);
+            }
+            Head::Spill(t)
+        };
+        // A push at or after the head time lands behind the head (a tie
+        // joins the head's own bucket), so the cached head stays right.
+        match self.head.get() {
+            Some(h) if t < h.time() => self.head.set(Some(pushed)),
+            None if self.len == 0 => self.head.set(Some(pushed)),
+            _ => {}
         }
+        self.len += 1;
     }
 
-    /// Locates the head of the queue without mutating anything.
+    /// Appends `event` to the slot for cycle `t`.
+    #[inline]
+    fn slot_push(&mut self, t: u64, event: E) {
+        let n = match self.free {
+            NIL => {
+                let n = u32::try_from(self.nodes.len())
+                    .ok()
+                    .filter(|&n| n != NIL)
+                    .expect("event queue holds fewer than 2^32 - 1 wheel events");
+                self.nodes.push(Node {
+                    event: Some(event),
+                    next: NIL,
+                });
+                n
+            }
+            n => {
+                let node = &mut self.nodes[n as usize];
+                self.free = node.next;
+                node.event = Some(event);
+                node.next = NIL;
+                n
+            }
+        };
+        let s = (t & WHEEL_MASK) as usize;
+        let slot = &mut self.slots[s];
+        if slot.len == 0 {
+            slot.head = n;
+            self.occupied[s / 64] |= 1 << (s % 64);
+        } else {
+            self.nodes[slot.tail as usize].next = n;
+        }
+        slot.tail = n;
+        slot.len += 1;
+        self.wheel_len += 1;
+    }
+
+    /// Locates the head of the queue, from the cache when it holds one.
     ///
     /// Invariant used throughout: overflow keys are either behind the
     /// cursor (late pushes into the past) or at/after the window end —
     /// never inside the un-drained part of the window — so a non-empty
     /// wheel always beats an at-or-after-window spill key.
     fn head(&self) -> Option<Head> {
+        if let Some(h) = self.head.get() {
+            return Some(h);
+        }
         if self.len == 0 {
             return None;
         }
-        if let Some((&k, _)) = self.overflow.iter().next() {
-            if k < self.cursor || self.wheel_len == 0 {
-                return Some(Head::Spill(k));
-            }
+        let h = match self.overflow_min {
+            Some(k) if k < self.cursor || self.wheel_len == 0 => Head::Spill(k),
+            _ => Head::Slot(self.first_occupied()),
+        };
+        self.head.set(Some(h));
+        Some(h)
+    }
+
+    /// The cycle of the first non-empty slot at or after the cursor. The
+    /// search runs a bitmap word at a time and wraps past the ring's end,
+    /// where the window's later cycles live.
+    fn first_occupied(&self) -> u64 {
+        debug_assert!(self.wheel_len > 0, "searched an empty wheel");
+        let c = (self.cursor & WHEEL_MASK) as usize;
+        let mut w = c / 64;
+        let mut bits = self.occupied[w] & (!0u64 << (c % 64));
+        while bits == 0 {
+            w = (w + 1) % OCCUPANCY_WORDS;
+            bits = self.occupied[w];
         }
-        debug_assert!(self.wheel_len > 0);
-        let mut t = self.cursor;
-        loop {
-            debug_assert!(t < self.wheel_end(), "wheel scan escaped the window");
-            if !self.slots[(t & WHEEL_MASK) as usize].is_empty() {
-                return Some(Head::Slot(t));
-            }
-            t += 1;
-        }
+        let s = (w * 64) as u64 + u64::from(bits.trailing_zeros());
+        let t = self.cursor + (s.wrapping_sub(c as u64) & WHEEL_MASK);
+        debug_assert!(t < self.wheel_end(), "wheel search escaped the window");
+        t
     }
 
     /// Rebases the empty wheel onto `base` and migrates every spill
     /// bucket that now falls inside the window into its slot.
+    #[cold]
     fn rebase(&mut self, base: u64) {
         debug_assert_eq!(self.wheel_len, 0);
         self.wheel_base = base;
         self.cursor = base;
         let rest = self.overflow.split_off(&self.wheel_end());
         let moved = std::mem::replace(&mut self.overflow, rest);
+        self.overflow_min = self.overflow.keys().next().copied();
         for (t, mut bucket) in moved {
-            self.wheel_len += bucket.len();
-            std::mem::swap(&mut self.slots[(t & WHEEL_MASK) as usize], &mut bucket);
-            // `bucket` is now the slot's previous (empty) deque.
+            for event in bucket.drain(..) {
+                self.slot_push(t, event);
+            }
             if self.spare.len() < SPARE_BUCKETS {
                 self.spare.push(bucket);
             }
         }
     }
 
-    /// Pops the front event of the overflow bucket at `k`, recycling the
-    /// bucket when it empties.
-    fn pop_spill(&mut self, k: u64) -> (Cycle, E) {
-        let bucket = self.overflow.get_mut(&k).expect("head bucket exists");
-        let e = bucket.pop_front().expect("head bucket non-empty");
+    /// Removes the `k`-th event (clamped) of the head slot at cycle `t`
+    /// and moves the cursor there.
+    fn pop_slot(&mut self, t: u64, k: usize) -> Option<(Cycle, E)> {
+        self.cursor = t;
+        let s = (t & WHEEL_MASK) as usize;
+        let slot = self.slots[s];
+        let mut prev = NIL;
+        let mut n = slot.head;
+        for _ in 0..k.min(slot.len as usize - 1) {
+            prev = n;
+            n = self.nodes[n as usize].next;
+        }
+        let next = std::mem::replace(&mut self.nodes[n as usize].next, self.free);
+        self.free = n;
+        let slot = &mut self.slots[s];
+        if prev == NIL {
+            slot.head = next;
+        } else {
+            self.nodes[prev as usize].next = next;
+        }
+        if slot.tail == n {
+            slot.tail = prev;
+        }
+        slot.len -= 1;
+        if slot.len == 0 {
+            self.occupied[s / 64] &= !(1 << (s % 64));
+            self.head.set(None);
+        } else {
+            self.head.set(Some(Head::Slot(t)));
+        }
+        self.wheel_len -= 1;
+        // Moving the event straight into the result spares a copy.
+        self.nodes[n as usize].event.take().map(|e| (Cycle(t), e))
+    }
+
+    /// Removes the `k`-th event (clamped) of the overflow bucket at `t`,
+    /// recycling the bucket when it empties.
+    fn pop_spill(&mut self, t: u64, k: usize) -> E {
+        let bucket = self.overflow.get_mut(&t).expect("head bucket exists");
+        let event = bucket
+            .remove(k.min(bucket.len() - 1))
+            .expect("clamped index in range");
         if bucket.is_empty() {
-            let bucket = self.overflow.remove(&k).expect("bucket present");
+            let bucket = self.overflow.remove(&t).expect("bucket present");
             if self.spare.len() < SPARE_BUCKETS {
                 self.spare.push(bucket);
             }
+            self.overflow_min = self.overflow.keys().next().copied();
+            self.head.set(None);
         }
-        self.len -= 1;
-        (Cycle(k), e)
+        event
     }
 
     /// Removes and returns the earliest event, or `None` if the queue is
     /// empty. Ties are broken by insertion order.
     pub fn pop(&mut self) -> Option<(Cycle, E)> {
-        match self.head()? {
-            Head::Spill(k) => {
-                if k >= self.cursor && k != u64::MAX {
-                    // The wheel is empty and all spill keys are at or
-                    // beyond the window: jump the window forward so this
-                    // bucket (and its near successors) pop from slots.
-                    self.rebase(k);
-                    self.pop_from_slot(k)
-                } else {
-                    Some(self.pop_spill(k))
-                }
-            }
-            Head::Slot(t) => self.pop_from_slot(t),
-        }
-    }
-
-    fn pop_from_slot(&mut self, t: u64) -> Option<(Cycle, E)> {
-        self.cursor = t;
-        let e = self.slots[(t & WHEEL_MASK) as usize]
-            .pop_front()
-            .expect("head slot non-empty");
-        self.wheel_len -= 1;
-        self.len -= 1;
-        Some((Cycle(t), e))
+        self.pop_tied(0)
     }
 
     /// Timestamp of the earliest pending event, if any.
     pub fn peek_time(&self) -> Option<Cycle> {
-        self.head().map(|h| match h {
-            Head::Slot(t) | Head::Spill(t) => Cycle(t),
-        })
+        self.head().map(|h| Cycle(h.time()))
     }
 
     /// Number of events tied at the earliest timestamp (0 when empty).
@@ -305,7 +436,7 @@ impl<E> EventQueue<E> {
     pub fn tie_width(&self) -> usize {
         match self.head() {
             None => 0,
-            Some(Head::Slot(t)) => self.slots[(t & WHEEL_MASK) as usize].len(),
+            Some(Head::Slot(t)) => self.slots[(t & WHEEL_MASK) as usize].len as usize,
             Some(Head::Spill(k)) => self.overflow[&k].len(),
         }
     }
@@ -319,33 +450,22 @@ impl<E> EventQueue<E> {
     /// a perturbed schedule differs from the default one *only* in the
     /// chosen delivery, never in collateral reordering.
     pub fn pop_tied(&mut self, k: usize) -> Option<(Cycle, E)> {
-        if k == 0 {
-            return self.pop();
-        }
-        let (t, in_wheel) = match self.head()? {
-            Head::Slot(t) => (t, true),
-            Head::Spill(t) => (t, false),
-        };
-        let bucket = if in_wheel {
-            self.cursor = t;
-            &mut self.slots[(t & WHEEL_MASK) as usize]
-        } else {
-            self.overflow.get_mut(&t).expect("head bucket exists")
-        };
-        let e = bucket
-            .remove(k.min(bucket.len() - 1))
-            .expect("clamped index in range");
-        let emptied = bucket.is_empty();
-        if in_wheel {
-            self.wheel_len -= 1;
-        } else if emptied {
-            let bucket = self.overflow.remove(&t).expect("bucket present");
-            if self.spare.len() < SPARE_BUCKETS {
-                self.spare.push(bucket);
+        let t = match self.head()? {
+            Head::Slot(t) => t,
+            Head::Spill(t) if t < self.cursor || t == u64::MAX => {
+                self.len -= 1;
+                return Some((Cycle(t), self.pop_spill(t, k)));
             }
-        }
+            Head::Spill(t) => {
+                // The wheel is empty and all spill keys are at or beyond
+                // the window: jump the window forward so this bucket (and
+                // its near successors) pop from slots.
+                self.rebase(t);
+                t
+            }
+        };
         self.len -= 1;
-        Some((Cycle(t), e))
+        self.pop_slot(t, k)
     }
 
     /// Number of pending events.
@@ -375,8 +495,12 @@ impl<E> EventQueue<E> {
         }
         if self.wheel_len > 0 {
             for t in self.cursor..self.wheel_end() {
-                let slot = &self.slots[(t & WHEEL_MASK) as usize];
-                out.extend(slot.iter().map(|e| (Cycle(t), e)));
+                let mut n = self.slots[(t & WHEEL_MASK) as usize].head;
+                while n != NIL {
+                    let node = &self.nodes[n as usize];
+                    out.push((Cycle(t), node.event.as_ref().expect("linked node")));
+                    n = node.next;
+                }
             }
         }
         for (&t, bucket) in self.overflow.range(self.cursor..) {
@@ -589,6 +713,29 @@ mod tests {
         assert_eq!(q.pop(), Some((Cycle(u64::MAX - 1), 'y')));
         assert_eq!(q.pop(), Some((Cycle(u64::MAX), 'z')));
         assert_eq!(q.pop(), None);
+    }
+
+    #[test]
+    fn node_slab_grows_only_to_the_peak_depth() {
+        const DEPTH: u64 = 64;
+        let mut q = EventQueue::new();
+        for i in 0..DEPTH {
+            q.push(Cycle(i % 7), i);
+        }
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        for i in 0..100_000u64 {
+            let (t, _) = q.pop().expect("queue stays at depth");
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            q.push(Cycle(t.0 + x % 300), DEPTH + i);
+            assert_eq!(q.len(), DEPTH as usize);
+        }
+        assert!(
+            q.nodes.capacity() <= 2 * DEPTH as usize,
+            "slab capacity {} for depth {DEPTH}",
+            q.nodes.capacity()
+        );
     }
 
     #[test]

@@ -118,6 +118,10 @@ enum Op {
     Pop,
     /// Pop the `k`-th tied event (clamped by both implementations).
     PopTied(usize),
+    /// Compare the earliest pending time.
+    Peek,
+    /// Compare the width of the earliest tie.
+    TieWidth,
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -130,7 +134,110 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         (0u64..200).prop_map(Op::PushPast),
         Just(Op::Pop),
         (0usize..6).prop_map(Op::PopTied),
+        Just(Op::Peek),
+        Just(Op::TieWidth),
     ]
+}
+
+/// Applies `op` to both queues and checks that they agree on what it
+/// observes; `now` is the time of the last delivery, like
+/// `Machine::clock`.
+fn apply(
+    op: &Op,
+    id: u64,
+    now: &mut u64,
+    wheel: &mut EventQueue<u64>,
+    refq: &mut ReferenceEventQueue<u64>,
+) {
+    match *op {
+        Op::Push(delay) => {
+            let at = Cycle(now.saturating_add(delay));
+            wheel.push(at, id);
+            refq.push(at, id);
+        }
+        Op::PushPast(back) => {
+            let at = Cycle(now.saturating_sub(back));
+            wheel.push(at, id);
+            refq.push(at, id);
+        }
+        Op::Pop => {
+            let a = wheel.pop();
+            let b = refq.pop();
+            assert_eq!(a, b);
+            if let Some((t, _)) = a {
+                *now = t.0;
+            }
+        }
+        Op::PopTied(k) => {
+            // The decision point only exists when the hook sees a
+            // tie, so compare the width first, then the choice.
+            assert_eq!(wheel.tie_width(), refq.tie_width());
+            let a = wheel.pop_tied(k);
+            let b = refq.pop_tied(k);
+            assert_eq!(a, b);
+            if let Some((t, _)) = a {
+                *now = t.0;
+            }
+        }
+        Op::Peek => assert_eq!(wheel.peek_time(), refq.peek_time()),
+        Op::TieWidth => assert_eq!(wheel.tie_width(), refq.tie_width()),
+    }
+    assert_eq!(wheel.len(), refq.len());
+}
+
+/// Drains both queues, checking that the residual order agrees.
+fn drain(wheel: &mut EventQueue<u64>, refq: &mut ReferenceEventQueue<u64>) {
+    loop {
+        assert_eq!(wheel.tie_width(), refq.tie_width());
+        let a = wheel.pop();
+        assert_eq!(a, refq.pop());
+        if a.is_none() {
+            return;
+        }
+    }
+}
+
+/// A fixed case where the slot search wraps past the ring's end: the
+/// window is rebased so the cursor sits at slot 1010, and events wait on
+/// both sides of slot 1023, pushed in between peeks and pops.
+#[test]
+fn slot_search_wraps_past_the_ring_end() {
+    let mut wheel = EventQueue::new();
+    let mut refq = ReferenceEventQueue::new();
+    let base = 3 * 1024 + 1010;
+    let mut now = 0;
+    let ops = [
+        // Far beyond the first window: popping it rebases onto `base`.
+        Op::Push(base),
+        Op::Pop,
+        Op::Push(20),
+        Op::Push(5),
+        Op::Peek,
+        Op::Push(13),
+        Op::Push(14),
+        Op::Push(14),
+        Op::Push(12),
+        Op::TieWidth,
+        Op::Pop,
+        Op::Push(2),
+        Op::Peek,
+        Op::Pop,
+        Op::Pop,
+        Op::Peek,
+        Op::Push(0),
+        Op::TieWidth,
+        Op::PopTied(1),
+        Op::Pop,
+        Op::PushPast(3),
+        Op::Peek,
+        Op::Pop,
+        Op::Pop,
+    ];
+    for (i, op) in ops.iter().enumerate() {
+        apply(op, i as u64, &mut now, &mut wheel, &mut refq);
+    }
+    assert!(now > base + 13, "the pops crossed the ring's end");
+    drain(&mut wheel, &mut refq);
 }
 
 proptest! {
@@ -143,52 +250,27 @@ proptest! {
     fn wheel_matches_reference_heap(ops in proptest::collection::vec(op_strategy(), 1..400)) {
         let mut wheel: EventQueue<u64> = EventQueue::new();
         let mut refq: ReferenceEventQueue<u64> = ReferenceEventQueue::new();
-        let mut now = 0u64; // time of the last delivery, like Machine::clock
+        let mut now = 0u64;
         for (i, op) in ops.iter().enumerate() {
-            let id = i as u64;
-            match *op {
-                Op::Push(delay) => {
-                    let at = Cycle(now.saturating_add(delay));
-                    wheel.push(at, id);
-                    refq.push(at, id);
-                }
-                Op::PushPast(back) => {
-                    let at = Cycle(now.saturating_sub(back));
-                    wheel.push(at, id);
-                    refq.push(at, id);
-                }
-                Op::Pop => {
-                    let a = wheel.pop();
-                    let b = refq.pop();
-                    prop_assert_eq!(a, b);
-                    if let Some((t, _)) = a {
-                        now = t.0;
-                    }
-                }
-                Op::PopTied(k) => {
-                    // The decision point only exists when the hook sees a
-                    // tie, so compare the width first, then the choice.
-                    prop_assert_eq!(wheel.tie_width(), refq.tie_width());
-                    let a = wheel.pop_tied(k);
-                    let b = refq.pop_tied(k);
-                    prop_assert_eq!(a, b);
-                    if let Some((t, _)) = a {
-                        now = t.0;
-                    }
-                }
-            }
-            prop_assert_eq!(wheel.len(), refq.len());
+            apply(op, i as u64, &mut now, &mut wheel, &mut refq);
             prop_assert_eq!(wheel.peek_time(), refq.peek_time());
         }
         // Drain: the full residual order must agree too.
-        loop {
-            prop_assert_eq!(wheel.tie_width(), refq.tie_width());
-            let a = wheel.pop();
-            prop_assert_eq!(a, refq.pop());
-            if a.is_none() {
-                break;
-            }
+        drain(&mut wheel, &mut refq);
+    }
+
+    /// The same lockstep without a peek after every step, so pushes and
+    /// pops also meet a head that no peek has located yet, and the
+    /// `Peek`/`TieWidth` ops find whatever the head cache holds.
+    #[test]
+    fn head_cache_matches_reference_heap(ops in proptest::collection::vec(op_strategy(), 1..400)) {
+        let mut wheel: EventQueue<u64> = EventQueue::new();
+        let mut refq: ReferenceEventQueue<u64> = ReferenceEventQueue::new();
+        let mut now = 0u64;
+        for (i, op) in ops.iter().enumerate() {
+            apply(op, i as u64, &mut now, &mut wheel, &mut refq);
         }
+        drain(&mut wheel, &mut refq);
     }
 
     /// `pop_tied(k)` removes only the chosen event: the remainder pops in
