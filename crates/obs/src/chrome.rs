@@ -9,9 +9,9 @@
 //! reported as microseconds (1 cycle = 1 µs), so Perfetto's time axis
 //! reads directly in cycles.
 
-use crate::timeline::{AttemptOutcome, Timeline};
+use crate::timeline::{AttemptOutcome, CoreTimeline, Forwarding, Timeline};
 use serde::Value;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
 fn map(entries: Vec<(&str, Value)>) -> Value {
     Value::Obj(
@@ -50,7 +50,7 @@ pub fn chrome_trace(tl: &Timeline) -> Value {
             ("args", map(vec![("name", str_v(format!("core {core}")))])),
         ]));
 
-        for a in &ct.attempts {
+        for a in ct.attempts() {
             let (name, outcome) = match a.outcome {
                 AttemptOutcome::Committed => ("tx".to_string(), "committed".to_string()),
                 AttemptOutcome::Aborted(cause) => (
@@ -72,9 +72,9 @@ pub fn chrome_trace(tl: &Timeline) -> Value {
                     map(vec![
                         ("outcome", str_v(outcome)),
                         ("val_stall", Value::U64(a.val_stall)),
-                        ("validations", Value::U64(a.validations)),
-                        ("evictions", Value::U64(a.evictions)),
-                        ("vsb_peak", Value::U64(a.vsb_peak as u64)),
+                        ("validations", Value::U64(u64::from(a.validations))),
+                        ("evictions", Value::U64(u64::from(a.evictions))),
+                        ("vsb_peak", Value::U64(u64::from(a.vsb_peak))),
                     ]),
                 ),
             ]));
@@ -110,19 +110,20 @@ pub fn chrome_trace(tl: &Timeline) -> Value {
     // Flow arrows producer → consumer. A forwarding only gets an arrow
     // when *both* sides were reconstructed inside an attempt (otherwise
     // the arrow would dangle outside any slice, which Perfetto rejects).
+    // The consumer side is the first attempt of the consumer core that
+    // consumed the same `(when, producer, line)`.
+    let consumers: Vec<HashMap<Forwarding, usize>> = tl.cores.iter().map(first_consumers).collect();
     let mut flow_id: u64 = 0;
     for (from_core, ct) in tl.cores.iter().enumerate() {
-        for a in &ct.attempts {
-            for (at, to_core, line) in &a.forwards_out {
-                let Some(consumer) = tl.cores.get(*to_core).and_then(|c| {
-                    c.attempts.iter().find(|ca| {
-                        ca.forwards_in
-                            .iter()
-                            .any(|(t, f, l)| t == at && f == &from_core && l == line)
-                    })
-                }) else {
+        for i in 0..ct.attempts().len() {
+            for &(at, to_core, line) in ct.forwards_out(i) {
+                let Some(&j) = consumers
+                    .get(to_core)
+                    .and_then(|first| first.get(&(at, from_core, line)))
+                else {
                     continue;
                 };
+                let consumer = &tl.cores[to_core].attempts()[j];
                 flow_id += 1;
                 let name = str_v(format!("SpecResp {line}"));
                 events.push(map(vec![
@@ -144,7 +145,7 @@ pub fn chrome_trace(tl: &Timeline) -> Value {
                     ("bp", str_v("e")),
                     ("id", Value::U64(flow_id)),
                     ("pid", pid.clone()),
-                    ("tid", Value::U64(*to_core as u64)),
+                    ("tid", Value::U64(to_core as u64)),
                     ("ts", Value::U64(head_ts)),
                 ]));
             }
@@ -163,6 +164,21 @@ pub fn chrome_trace(tl: &Timeline) -> Value {
             ]),
         ),
     ])
+}
+
+/// Each distinct `(when, producer, line)` that core `ct` consumed, mapped
+/// to the first of its attempts that consumed it: one pass over the
+/// core's forwardings, so matching every arrow costs one lookup each
+/// rather than a scan of the consumer core. The entries come from a trace
+/// file, so the map keeps std's keyed hasher.
+fn first_consumers(ct: &CoreTimeline) -> HashMap<Forwarding, usize> {
+    let mut first = HashMap::new();
+    for i in 0..ct.attempts().len() {
+        for &f in ct.forwards_in(i) {
+            first.entry(f).or_insert(i);
+        }
+    }
+    first
 }
 
 #[cfg(test)]

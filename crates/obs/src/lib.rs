@@ -59,5 +59,6 @@ pub use log::{TraceLog, TraceLogIter};
 pub use profile::{profile_value, ProfileMeta};
 pub use report::{text_report, text_report_with_regions};
 pub use timeline::{
-    Attempt, AttemptOutcome, ChainStats, CoreTimeline, CycleBreakdown, Interval, NocUsage, Timeline,
+    Attempt, AttemptOutcome, ChainStats, CoreTimeline, CycleBreakdown, Forwarding, Interval,
+    NocUsage, Timeline,
 };

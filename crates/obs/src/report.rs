@@ -185,8 +185,11 @@ pub fn text_report(tl: &Timeline) -> String {
     let aborted_with_forwards = tl
         .cores
         .iter()
-        .flat_map(|c| &c.attempts)
-        .filter(|a| matches!(a.outcome, AttemptOutcome::Aborted(_)) && !a.forwards_in.is_empty())
+        .flat_map(|c| {
+            c.attempts().iter().enumerate().filter(|&(i, a)| {
+                matches!(a.outcome, AttemptOutcome::Aborted(_)) && !c.forwards_in(i).is_empty()
+            })
+        })
         .count();
     if aborted_with_forwards > 0 {
         let _ = writeln!(

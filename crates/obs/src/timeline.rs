@@ -43,8 +43,10 @@ pub enum AttemptOutcome {
     Unfinished,
 }
 
-/// One reconstructed transaction attempt.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// One reconstructed transaction attempt: a fixed 48-byte record. Its
+/// forwardings live in its core's flat lists, read through
+/// [`CoreTimeline::forwards_out`] and [`CoreTimeline::forwards_in`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Attempt {
     /// The span from `TxBegin` to commit/abort.
     pub span: Interval,
@@ -53,17 +55,23 @@ pub struct Attempt {
     /// Cycles of this attempt spent stalled at `TxEnd` waiting for the
     /// VSB to drain (or for a deferred commit release).
     pub val_stall: u64,
-    /// `SpecResp`s this attempt *produced*, as `(when, consumer, line)`.
-    pub forwards_out: Vec<(Cycle, usize, LineAddr)>,
-    /// `SpecResp`s this attempt *consumed*, as `(when, producer, line)`.
-    pub forwards_in: Vec<(Cycle, usize, LineAddr)>,
     /// Successful validations (lines that left the VSB cleanly).
-    pub validations: u64,
+    pub validations: u32,
     /// VSB entries discarded unvalidated at abort.
-    pub evictions: u64,
+    pub evictions: u32,
     /// Highest VSB occupancy observed during the attempt.
-    pub vsb_peak: usize,
+    pub vsb_peak: u32,
+    /// End of this attempt's slice of its core's `forwards_out` list;
+    /// the slice starts where the previous attempt's ends.
+    out_end: u32,
+    /// The same for `forwards_in`.
+    in_end: u32,
 }
+
+const _: () = assert!(std::mem::size_of::<Attempt>() <= 48);
+
+/// A forwarding as one side of it saw it: `(when, other core, line)`.
+pub type Forwarding = (Cycle, usize, LineAddr);
 
 /// The strict per-core cycle partition: every simulated cycle of a core
 /// lands in exactly one bucket, so the five fields sum to the run's total
@@ -113,14 +121,73 @@ impl CycleBreakdown {
 }
 
 /// One core's reconstructed history.
+///
+/// A core's attempts run one after another, so the forwardings of each
+/// attempt form one contiguous slice of the core's `forwards_out` and
+/// `forwards_in` lists, in attempt order; an attempt records only where
+/// its slices end. A core keeps at most `u32::MAX` forwardings each way.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CoreTimeline {
-    /// Attempts in begin order.
-    pub attempts: Vec<Attempt>,
+    /// Closed attempts, in the order they closed.
+    attempts: Vec<Attempt>,
+    /// `SpecResp`s produced by the attempts, as `(when, consumer, line)`.
+    forwards_out: Vec<Forwarding>,
+    /// `SpecResp`s consumed by the attempts, as `(when, producer, line)`.
+    forwards_in: Vec<Forwarding>,
     /// Fallback-hold intervals (acquisition to release).
     pub fallbacks: Vec<Interval>,
     /// The core's cycle partition.
     pub breakdown: CycleBreakdown,
+}
+
+impl CoreTimeline {
+    /// The core's attempts, in the order they closed (begin order for a
+    /// stream that keeps each core's events in time order).
+    #[must_use]
+    pub fn attempts(&self) -> &[Attempt] {
+        &self.attempts
+    }
+
+    /// The `SpecResp`s attempt `i` produced, as `(when, consumer, line)`.
+    ///
+    /// # Panics
+    ///
+    /// If `i` is not an attempt index.
+    #[must_use]
+    pub fn forwards_out(&self, i: usize) -> &[Forwarding] {
+        let start = i.checked_sub(1).map_or(0, |p| self.attempts[p].out_end);
+        &self.forwards_out[start as usize..self.attempts[i].out_end as usize]
+    }
+
+    /// The `SpecResp`s attempt `i` consumed, as `(when, producer, line)`.
+    ///
+    /// # Panics
+    ///
+    /// If `i` is not an attempt index.
+    #[must_use]
+    pub fn forwards_in(&self, i: usize) -> &[Forwarding] {
+        let start = i.checked_sub(1).map_or(0, |p| self.attempts[p].in_end);
+        &self.forwards_in[start as usize..self.attempts[i].in_end as usize]
+    }
+
+    /// Appends to one of the lists on behalf of the open attempt, unless
+    /// the list is full.
+    fn push_forward(list: &mut Vec<Forwarding>, f: Forwarding) {
+        if list.len() < u32::MAX as usize {
+            list.push(f);
+        }
+    }
+
+    /// Forgets the open attempt's forwardings: they are the entries past
+    /// the last closed attempt's slices.
+    fn drop_open_forwards(&mut self) {
+        let (out_end, in_end) = self
+            .attempts
+            .last()
+            .map_or((0, 0), |a| (a.out_end, a.in_end));
+        self.forwards_out.truncate(out_end as usize);
+        self.forwards_in.truncate(in_end as usize);
+    }
 }
 
 /// Chain analytics extracted from `Forward` events.
@@ -258,9 +325,13 @@ impl Timeline {
             }
             match ev {
                 TraceEvent::TxBegin { at, core } => {
-                    let s = &mut scans[usize::from(*core)];
+                    let core = usize::from(*core);
+                    let s = &mut scans[core];
                     // A TxBegin while an attempt is open means the stream
                     // lost the closing event; drop the half-seen attempt.
+                    if s.open_attempt.is_some() {
+                        tl.cores[core].drop_open_forwards();
+                    }
                     s.open_attempt = Some(Attempt {
                         span: Interval {
                             begin: *at,
@@ -268,11 +339,11 @@ impl Timeline {
                         },
                         outcome: AttemptOutcome::Unfinished,
                         val_stall: 0,
-                        forwards_out: Vec::new(),
-                        forwards_in: Vec::new(),
                         validations: 0,
                         evictions: 0,
                         vsb_peak: 0,
+                        out_end: 0,
+                        in_end: 0,
                     });
                     s.stall_since = None;
                     s.chain_node = None;
@@ -315,16 +386,22 @@ impl Timeline {
                     let producer = chains.node(&mut scans[from].chain_node);
                     let consumer = chains.node(&mut scans[to].chain_node);
                     chains.union(producer, consumer);
-                    if let Some(a) = scans[from].open_attempt.as_mut() {
-                        a.forwards_out.push((*at, to, *line));
+                    if scans[from].open_attempt.is_some() {
+                        CoreTimeline::push_forward(
+                            &mut tl.cores[from].forwards_out,
+                            (*at, to, *line),
+                        );
                     }
-                    if let Some(a) = scans[to].open_attempt.as_mut() {
-                        a.forwards_in.push((*at, from, *line));
+                    if scans[to].open_attempt.is_some() {
+                        CoreTimeline::push_forward(
+                            &mut tl.cores[to].forwards_in,
+                            (*at, from, *line),
+                        );
                     }
                 }
                 TraceEvent::Validated { at: _, core, .. } => {
                     if let Some(a) = scans[usize::from(*core)].open_attempt.as_mut() {
-                        a.validations += 1;
+                        a.validations = a.validations.saturating_add(1);
                     }
                 }
                 TraceEvent::Fallback { at, core } => {
@@ -370,12 +447,12 @@ impl Timeline {
                     core, occupancy, ..
                 } => {
                     if let Some(a) = scans[usize::from(*core)].open_attempt.as_mut() {
-                        a.vsb_peak = a.vsb_peak.max(*occupancy as usize);
+                        a.vsb_peak = a.vsb_peak.max(*occupancy);
                     }
                 }
                 TraceEvent::VsbEvict { core, .. } => {
                     if let Some(a) = scans[usize::from(*core)].open_attempt.as_mut() {
-                        a.evictions += 1;
+                        a.evictions = a.evictions.saturating_add(1);
                     }
                 }
                 TraceEvent::FaultInjected { kind, .. } => {
@@ -394,14 +471,16 @@ impl Timeline {
             if let Some(begin) = s.fallback_since.take().filter(|begin| *begin <= end) {
                 tl.cores[core].fallbacks.push(Interval { begin, end });
             }
-            if let Some(a) = s.open_attempt.take().filter(|a| a.span.begin <= end) {
-                Timeline::end_attempt(
+            match s.open_attempt.take() {
+                Some(a) if a.span.begin <= end => Timeline::end_attempt(
                     a,
                     s.stall_since.take(),
                     &mut tl.cores[core],
                     end,
                     AttemptOutcome::Unfinished,
-                );
+                ),
+                Some(_) => tl.cores[core].drop_open_forwards(),
+                None => {}
             }
         }
 
@@ -440,6 +519,11 @@ impl Timeline {
         }
         a.span.end = at;
         a.outcome = outcome;
+        let end = |list: &[Forwarding]| {
+            u32::try_from(list.len()).expect("push_forward keeps a list within u32::MAX entries")
+        };
+        a.out_end = end(&ct.forwards_out);
+        a.in_end = end(&ct.forwards_in);
         ct.attempts.push(a);
     }
 
@@ -633,8 +717,11 @@ mod tests {
         let b = tl.cores[0].breakdown;
         assert_eq!(b.useful + b.wasted + b.validation_stall, 0);
         assert_eq!(b.other, 50);
-        assert_eq!(tl.cores[0].attempts.len(), 1);
-        assert_eq!(tl.cores[0].attempts[0].outcome, AttemptOutcome::Unfinished);
+        assert_eq!(tl.cores[0].attempts().len(), 1);
+        assert_eq!(
+            tl.cores[0].attempts()[0].outcome,
+            AttemptOutcome::Unfinished
+        );
     }
 
     #[test]
@@ -671,8 +758,8 @@ mod tests {
             "pic-less forward excluded"
         );
         assert_eq!(tl.chains.chain_len_hist.get(&2), Some(&1));
-        assert_eq!(tl.cores[0].attempts[0].forwards_out.len(), 2);
-        assert_eq!(tl.cores[1].attempts[0].forwards_in.len(), 2);
+        assert_eq!(tl.cores[0].forwards_out(0).len(), 2);
+        assert_eq!(tl.cores[1].forwards_in(0).len(), 2);
     }
 
     #[test]
@@ -759,8 +846,8 @@ mod tests {
             },
         ];
         let tl = Timeline::rebuild(&events, 50);
-        let a = &tl.cores[0].attempts[0];
-        assert_eq!(tl.cores[0].attempts.len(), 1);
+        let a = &tl.cores[0].attempts()[0];
+        assert_eq!(tl.cores[0].attempts().len(), 1);
         assert_eq!(a.outcome, AttemptOutcome::Unfinished, "the early commit");
         assert_eq!((a.span.begin, a.span.end), (Cycle(10), Cycle(50)));
         assert_eq!(a.val_stall, 20, "the stall stays open to the horizon");
@@ -776,7 +863,7 @@ mod tests {
 
         // A horizon below an open span's begin drops the span.
         let tl = Timeline::rebuild(&events, 8);
-        assert!(tl.cores[0].attempts.is_empty());
+        assert!(tl.cores[0].attempts().is_empty());
         assert!(tl.cores[1].fallbacks.is_empty());
         assert_eq!(tl.aggregate().total(), 16);
     }
@@ -793,6 +880,37 @@ mod tests {
         let tl = Timeline::rebuild(&events, u64::MAX);
         assert_eq!(tl.cores[0].breakdown.useful, u64::MAX);
         assert_eq!(tl.aggregate().total(), u64::MAX);
+    }
+
+    #[test]
+    fn dropped_attempts_leave_no_entries_behind() {
+        let fwd = |at: u64, from: u16, to: u16| TraceEvent::Forward {
+            at: Cycle(at),
+            from,
+            to,
+            line: LineAddr(1),
+            pic: None,
+        };
+        let events = vec![
+            ev_begin(0, 0),
+            ev_begin(0, 1),
+            fwd(1, 0, 1),
+            // Lost closing event: this begin drops core 0's first attempt.
+            ev_begin(2, 0),
+            fwd(3, 0, 1),
+            ev_commit(4, 0),
+            ev_commit(4, 1),
+            // Both begin past the horizon of 10 and are dropped there.
+            ev_begin(20, 0),
+            ev_begin(20, 1),
+            fwd(21, 1, 0),
+        ];
+        let tl = Timeline::rebuild(&events, 10);
+        let (c0, c1) = (&tl.cores[0], &tl.cores[1]);
+        assert_eq!(c0.forwards_out, [(Cycle(3), 1, LineAddr(1))]);
+        assert!(c0.forwards_in.is_empty());
+        assert_eq!(c1.forwards_in.len(), 2);
+        assert!(c1.forwards_out.is_empty());
     }
 
     #[test]
@@ -824,7 +942,7 @@ mod tests {
             ev_abort(8, 0),
         ];
         let tl = Timeline::rebuild(&events, 10);
-        let a = &tl.cores[0].attempts[0];
+        let a = &tl.cores[0].attempts()[0];
         assert_eq!(a.vsb_peak, 2);
         assert_eq!(a.validations, 1);
         assert_eq!(a.evictions, 1);

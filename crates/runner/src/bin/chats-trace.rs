@@ -277,7 +277,7 @@ fn cmd_export(trace: &Path, out: &Path, cycles: Option<u64>) -> Result<(), Failu
     std::fs::write(out, v.to_compact()).map_err(|e| format!("{}: {e}", out.display()))?;
     println!(
         "exported {} slices across {} cores -> {} (load at https://ui.perfetto.dev)",
-        tl.cores.iter().map(|c| c.attempts.len()).sum::<usize>(),
+        tl.cores.iter().map(|c| c.attempts().len()).sum::<usize>(),
         tl.cores.len(),
         out.display()
     );

@@ -41,10 +41,8 @@
 
 pub mod kernels;
 pub mod registry;
-pub mod replay;
 pub mod spec;
 
-pub use replay::{ThreadTrace, TraceOp, TraceWorkload};
 // Re-exported so runner/check can attach fault plans without a direct
 // `chats-machine` (or `chats-faults`) dependency.
 pub use chats_machine::FaultPlan;
