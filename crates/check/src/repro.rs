@@ -6,7 +6,7 @@
 //! the machine and re-executes the schedule bit-exactly; the replay
 //! *reproduces* iff it fails with the recorded kind.
 
-use crate::run::{run_scenario, FailureKind, RunResult};
+use crate::run::{trace_scenario, FailureKind, RunResult};
 use crate::scenario::Scenario;
 use crate::schedule::Schedule;
 use chats_runner::hash::fnv1a_64;
@@ -235,10 +235,12 @@ impl Reproducer {
     }
 
     /// Re-executes the recorded schedule. Returns the run and whether the
-    /// recorded failure kind was reproduced.
+    /// recorded failure kind was reproduced. The run is traced, so an
+    /// inconclusive replay's watchdog report carries its recent protocol
+    /// history.
     #[must_use]
     pub fn replay(&self) -> (RunResult, bool) {
-        let result = run_scenario(&self.scenario, &Schedule::replay(self.prefix.clone()));
+        let (result, _) = trace_scenario(&self.scenario, &Schedule::replay(self.prefix.clone()));
         let reproduced = result.failed_with(self.kind);
         (result, reproduced)
     }
@@ -247,7 +249,9 @@ impl Reproducer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::run::{run_scenario, Outcome};
     use crate::scenario::smoke_scenarios;
+    use crate::schedule::{choices, Attack};
 
     fn sample() -> Reproducer {
         Reproducer::new(
@@ -256,6 +260,36 @@ mod tests {
             FailureKind::SumMismatch,
             "found by attack(defer-commits)".to_string(),
         )
+    }
+
+    /// Exploration counts an inconclusive run without its history, but a
+    /// replay of the same schedule prints the events that led to the stall.
+    #[test]
+    fn an_inconclusive_replay_shows_its_recent_events() {
+        let sc = smoke_scenarios()
+            .into_iter()
+            .find(|s| s.name == "smoke-torture-chats")
+            .expect("the smoke suite has smoke-torture-chats");
+        let starve = Schedule::attack(Attack::StarveForwards);
+        let (explored, trace) = trace_scenario(&sc, &starve);
+        let Outcome::Inconclusive(why) = &explored.outcome else {
+            panic!("starve-forwards judged {:?}", explored.outcome);
+        };
+        assert!(why.contains("trace event(s):"), "{why}");
+        let Outcome::Inconclusive(counted) = run_scenario(&sc, &starve).outcome else {
+            panic!("an untraced run judged differently");
+        };
+        assert!(counted.starts_with("no progress within"), "{counted}");
+        assert!(!counted.contains("trace event(s)"), "{counted}");
+
+        let repro = Reproducer::new(sc, choices(&trace), FailureKind::Deadlock, String::new());
+        let (replayed, reproduced) = repro.replay();
+        assert!(!reproduced);
+        assert_eq!(replayed.outcome, explored.outcome);
+        let Outcome::Inconclusive(why) = &replayed.outcome else {
+            unreachable!()
+        };
+        assert!(why.contains("last 32 trace event(s):"), "{why}");
     }
 
     #[test]

@@ -118,7 +118,9 @@ pub fn image_digest(image: &BTreeMap<u64, u64>) -> u64 {
 }
 
 /// Runs `scenario` under `schedule` and judges the outcome, recording no
-/// decision trace: the schedule itself replays the run.
+/// decision trace: the schedule itself replays the run. Nor does it keep
+/// protocol history, so a watchdog stall's report lists no recent events:
+/// exploration only counts inconclusive runs.
 ///
 /// The machine runs with both oracles armed in *record* mode, so
 /// violations accumulate instead of panicking; residual panics (machine
@@ -129,9 +131,11 @@ pub fn run_scenario(scenario: &Scenario, schedule: &Schedule) -> RunResult {
 }
 
 /// [`run_scenario`] plus the run's full resolved decision trace, for the
-/// callers that read it (flip generation, shrinking). The trace is
-/// recorded outside the machine, so it is complete even for a panicked
-/// run; replayed via [`Schedule::replay`] it reproduces the run.
+/// callers that read it (flip generation, shrinking, replay). The trace
+/// is recorded outside the machine, so it is complete even for a panicked
+/// run; replayed via [`Schedule::replay`] it reproduces the run. The
+/// machine also keeps its recent protocol history, so a watchdog stall's
+/// report ends with the events that led up to it.
 #[must_use]
 pub fn trace_scenario(
     scenario: &Scenario,
@@ -159,10 +163,13 @@ fn install_quiet_panic_hook() {
     });
 }
 
-/// The one runner behind [`run_scenario`] and [`trace_scenario`].
+/// The one runner behind [`run_scenario`] and [`trace_scenario`]. A run
+/// with a recorder is one whose result is read closely, so it also keeps
+/// report history; the history never changes what the machine does.
 fn execute(scenario: &Scenario, schedule: &Schedule, recorder: Option<Recorder>) -> RunResult {
     let kernel = scenario.program.build();
     let expected = scenario.threads as u64 * kernel.per_thread;
+    let keep_history = recorder.is_some();
     let hook = schedule.hook(recorder);
 
     let outcome = {
@@ -188,6 +195,9 @@ fn execute(scenario: &Scenario, schedule: &Schedule, recorder: Option<Recorder>)
             );
             m.set_decision_hook(hook);
             m.set_watchdog(WATCHDOG_HORIZON);
+            if keep_history {
+                m.keep_report_history();
+            }
             // After the default watchdog, so a plan's own horizon wins.
             if let Some(plan) = &scenario.faults {
                 m.set_fault_plan(plan);

@@ -170,6 +170,40 @@ fn fault_schedules_shrink_and_replay() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The smoke exploration's manifest is pinned across builds, byte for
+/// byte, by `fixtures/explore-smoke.json` (what `chats-check explore
+/// --smoke` writes). A change to the simulator's hot path must leave it
+/// alone; after an intentional change to what the machine does,
+/// regenerate it with
+///
+/// ```text
+/// CHATS_UPDATE_GOLDEN=1 cargo test -p chats-check --test acceptance
+/// ```
+#[test]
+fn smoke_exploration_matches_its_golden() {
+    let budget = ExploreBudget::smoke();
+    let actual = explore(&chats_check::smoke_scenarios(), &budget, None, true)
+        .to_json(&budget)
+        .to_pretty();
+    let path =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/explore-smoke.json");
+    if std::env::var_os("CHATS_UPDATE_GOLDEN").is_some() {
+        std::fs::write(&path, actual).unwrap();
+        return;
+    }
+    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "missing golden {} ({e}); regenerate with CHATS_UPDATE_GOLDEN=1",
+            path.display()
+        )
+    });
+    assert_eq!(
+        actual, expected,
+        "the smoke exploration drifted from its golden; if the change is \
+         intentional, regenerate with CHATS_UPDATE_GOLDEN=1"
+    );
+}
+
 /// Two explorations of the same suite produce byte-identical manifests:
 /// no timestamps, no ambient randomness, schedules all derived from
 /// scenario seeds.

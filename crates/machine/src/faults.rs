@@ -26,8 +26,8 @@ use std::fmt;
 /// Trailing trace events embedded in a [`FailureReport`].
 const REPORT_EVENTS: usize = 32;
 
-/// Ring capacity auto-installed by [`Machine::set_watchdog`] when tracing
-/// is off, so failure reports always carry recent protocol history.
+/// Ring capacity [`Machine::keep_report_history`] installs when tracing
+/// is off, so a failure report can carry recent protocol history.
 const REPORT_RING: usize = 256;
 
 /// Delivery-sequencing node id for the directory (cores use their index).
@@ -205,10 +205,14 @@ impl Machine {
     /// identically) and arms the progress watchdog when the plan carries a
     /// nonzero horizon. An [empty](FaultPlan::is_empty) plan installs no
     /// injector — a watch-only plan (horizon set, all knobs zero) arms
-    /// just the watchdog. Call before [`Machine::run`].
+    /// just the watchdog. A plan's watchdog also
+    /// [keeps report history](Machine::keep_report_history), so a fault
+    /// run that stalls says what led up to it. Call before
+    /// [`Machine::run`].
     pub fn set_fault_plan(&mut self, plan: &FaultPlan) {
         if plan.watchdog_horizon > 0 {
             self.set_watchdog(plan.watchdog_horizon);
+            self.keep_report_history();
         }
         self.faults = if plan.is_empty() {
             None
@@ -220,9 +224,11 @@ impl Machine {
     /// Arms the progress watchdog: a loaded, unhalted core that records no
     /// progress (commit, fallback-section completion or halt) for more
     /// than `horizon` cycles ends the run in
-    /// [`SimError::WatchdogStall`] carrying a [`FailureReport`]. When
-    /// tracing is off, a small bounded ring is installed so the report can
-    /// include recent protocol history.
+    /// [`SimError::WatchdogStall`] carrying a [`FailureReport`]. The
+    /// watchdog installs no trace sink: the report's `recent_events` come
+    /// from whatever sink is installed, and are empty when tracing is off.
+    /// A caller that prints the report calls
+    /// [`Machine::keep_report_history`] too.
     ///
     /// # Panics
     ///
@@ -230,10 +236,17 @@ impl Machine {
     /// unwatched).
     pub fn set_watchdog(&mut self, horizon: u64) {
         assert!(horizon > 0, "a watchdog needs a nonzero horizon");
+        self.watchdog = Some(Watchdog::new(horizon, self.cores.len()));
+    }
+
+    /// Keeps the latest protocol events in a small bounded ring when
+    /// tracing is off, so a watchdog report can show the last 32 of them.
+    /// Recording costs a copy per event, so only runs whose report is read
+    /// should ask for it. A no-op when a trace sink is already installed.
+    pub fn keep_report_history(&mut self) {
         if !self.trace.enabled() {
             self.trace = Trace::Ring(RingSink::new(REPORT_RING));
         }
-        self.watchdog = Some(Watchdog::new(horizon, self.cores.len()));
     }
 
     /// Total faults injected so far (0 without a plan).

@@ -953,14 +953,7 @@ impl Machine {
             });
         }
         if let Some(d) = dup {
-            let dup_msg = msg.clone();
-            self.events.push(
-                d,
-                Event::CoreRecv {
-                    core: to,
-                    msg: dup_msg,
-                },
-            );
+            self.events.push(d, Event::CoreRecv { core: to, msg });
         }
         self.events.push(arrive, Event::CoreRecv { core: to, msg });
     }

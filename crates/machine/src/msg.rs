@@ -33,7 +33,7 @@ pub struct Request {
 }
 
 /// Messages delivered to a core's L1 controller.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub enum CoreMsg {
     /// A standard coherence response with data and permissions.
     Data {
@@ -98,7 +98,7 @@ pub enum ProbeOutcome {
 }
 
 /// Messages delivered to the directory.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub enum DirMsg {
     /// A new coherence request.
     Request(Request),
@@ -126,13 +126,16 @@ pub enum DirMsg {
 
 // Every event queue node carries one `Event`, so its size is the
 // queue's footprint per pending event. It is 96 bytes because
-// `CoreMsg::Data` and `SpecResp` carry a 64-byte `Line` inline; moving
-// line payloads out of the event is ROADMAP item 9. The assertion makes
-// any change to the size a deliberate one.
+// `CoreMsg::Data` and `SpecResp` carry a 64-byte `Line` inline. The
+// bytes are not the hot loop's cost: a 48-byte `Event` (line payloads in
+// a slab, 16-bit core ids) ran explore only ~3% faster, while handing
+// events over without store-forwarding stalls ran it 20-33% faster
+// (DESIGN §14). The assertion makes any change to the size a deliberate
+// one.
 const _: () = assert!(std::mem::size_of::<Event>() == 96);
 
 /// All simulation events.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub enum Event {
     /// Resume executing a core's VM.
     CoreStep {

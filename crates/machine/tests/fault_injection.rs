@@ -275,6 +275,37 @@ fn a_drained_queue_is_flagged_in_the_failure_report() {
     }
 }
 
+/// A bare watchdog keeps no protocol history: the run records no trace
+/// event and its report lists none. A plan's watchdog keeps the history.
+#[test]
+fn only_a_fault_plans_watchdog_keeps_report_history() {
+    let mut watched = lock_orphaning_machine();
+    watched.set_watchdog(1 << 40);
+    match watched.run(40_000_000) {
+        Err(SimError::WatchdogStall { report }) => {
+            assert!(report.recent_events.is_empty(), "{report}");
+            assert!(!report.to_string().contains("trace event(s)"));
+        }
+        other => panic!("expected a watchdog report, got: {other:?}"),
+    }
+    assert!(watched.trace_events().is_empty());
+
+    let mut planned = lock_orphaning_machine();
+    planned.set_fault_plan(&FaultPlan {
+        name: "watch-only".to_string(),
+        watchdog_horizon: 1 << 40,
+        ..FaultPlan::default()
+    });
+    match planned.run(40_000_000) {
+        Err(SimError::WatchdogStall { report }) => {
+            assert!(!report.recent_events.is_empty(), "{report}");
+            assert!(report.to_string().contains("trace event(s):"));
+        }
+        other => panic!("expected a watchdog report, got: {other:?}"),
+    }
+    assert!(!planned.trace_events().is_empty());
+}
+
 /// Every cycle knob at the largest value a decoded plan may carry, its
 /// fault armed at 1000 permille: cycle arithmetic must not overflow
 /// (tests build with overflow checks), so each run ends in statistics or

@@ -129,10 +129,11 @@ const EMPTY_SLOT: Slot = Slot {
 };
 
 /// A slab entry: a queued event and the link to the next one in its slot,
-/// or (when free, `event` is `None`) the next free entry.
+/// or (when free) the next free entry. A free node keeps its stale
+/// payload; only nodes linked from a slot are ever read.
 #[derive(Debug, Clone)]
 struct Node<E> {
-    event: Option<E>,
+    event: E,
     next: u32,
 }
 
@@ -170,7 +171,7 @@ struct Node<E> {
 /// assert_eq!(order, vec!['a', 'b', 'c']);
 /// ```
 #[derive(Debug, Clone)]
-pub struct EventQueue<E> {
+pub struct EventQueue<E: Copy> {
     /// The wheel. `slots[t & WHEEL_MASK]` holds the events for cycle `t`
     /// for every `t` in the window; a slot's events all share one
     /// timestamp because the window is exactly one wheel circumference.
@@ -218,7 +219,7 @@ impl Head {
     }
 }
 
-impl<E> EventQueue<E> {
+impl<E: Copy> EventQueue<E> {
     /// Creates an empty queue.
     pub fn new() -> Self {
         EventQueue {
@@ -243,6 +244,12 @@ impl<E> EventQueue<E> {
     }
 
     /// Schedules `event` for delivery at `at`.
+    // Forced inline, as is `slot_push`: out of line, a caller builds the
+    // event on its stack and the callee copies it into its node, and that
+    // copy reads back the caller's just-written stores with a different
+    // split, which stalls store forwarding. Inlined, the event is built
+    // straight into the node.
+    #[inline(always)]
     pub fn push(&mut self, at: Cycle, event: E) {
         let t = at.0;
         let pushed = if t >= self.cursor && t < self.wheel_end() {
@@ -268,8 +275,9 @@ impl<E> EventQueue<E> {
         self.len += 1;
     }
 
-    /// Appends `event` to the slot for cycle `t`.
-    #[inline]
+    /// Appends `event` to the slot for cycle `t`. Forced inline for the
+    /// reason given at [`EventQueue::push`].
+    #[inline(always)]
     fn slot_push(&mut self, t: u64, event: E) {
         let n = match self.free {
             NIL => {
@@ -277,16 +285,13 @@ impl<E> EventQueue<E> {
                     .ok()
                     .filter(|&n| n != NIL)
                     .expect("event queue holds fewer than 2^32 - 1 wheel events");
-                self.nodes.push(Node {
-                    event: Some(event),
-                    next: NIL,
-                });
+                self.nodes.push(Node { event, next: NIL });
                 n
             }
             n => {
                 let node = &mut self.nodes[n as usize];
                 self.free = node.next;
-                node.event = Some(event);
+                node.event = event;
                 node.next = NIL;
                 n
             }
@@ -394,8 +399,10 @@ impl<E> EventQueue<E> {
             self.head.set(Some(Head::Slot(t)));
         }
         self.wheel_len -= 1;
-        // Moving the event straight into the result spares a copy.
-        self.nodes[n as usize].event.take().map(|e| (Cycle(t), e))
+        // A plain copy of the whole payload: the node keeps it (stale,
+        // unreachable once freed), so nothing is written back beside it
+        // for the caller to stall on when it reads the event.
+        Some((Cycle(t), self.nodes[n as usize].event))
     }
 
     /// Removes the `k`-th event (clamped) of the overflow bucket at `t`,
@@ -498,7 +505,7 @@ impl<E> EventQueue<E> {
                 let mut n = self.slots[(t & WHEEL_MASK) as usize].head;
                 while n != NIL {
                     let node = &self.nodes[n as usize];
-                    out.push((Cycle(t), node.event.as_ref().expect("linked node")));
+                    out.push((Cycle(t), &node.event));
                     n = node.next;
                 }
             }
@@ -511,7 +518,7 @@ impl<E> EventQueue<E> {
     }
 }
 
-impl<E> Default for EventQueue<E> {
+impl<E: Copy> Default for EventQueue<E> {
     fn default() -> Self {
         Self::new()
     }
@@ -736,6 +743,38 @@ mod tests {
             "slab capacity {} for depth {DEPTH}",
             q.nodes.capacity()
         );
+    }
+
+    /// A freed node keeps its old payload, and the next push reuses the
+    /// node. Nothing but the new payload may come back out of it.
+    #[test]
+    fn a_freed_nodes_old_payload_never_returns() {
+        let mut q = EventQueue::new();
+        q.push(Cycle(1), 'a');
+        q.push(Cycle(2), 'b');
+        assert_eq!(q.pop(), Some((Cycle(1), 'a')));
+        q.push(Cycle(3), 'c');
+        assert_eq!(q.nodes.len(), 2, "'c' reuses the node 'a' left");
+        let listed: Vec<(Cycle, char)> = q.ordered().into_iter().map(|(t, &e)| (t, e)).collect();
+        assert_eq!(listed, [(Cycle(2), 'b'), (Cycle(3), 'c')]);
+        assert_eq!(q.pop(), Some((Cycle(2), 'b')));
+        assert_eq!(q.pop(), Some((Cycle(3), 'c')));
+        assert_eq!(q.pop(), None);
+        assert!(q.ordered().is_empty());
+
+        // The same through a tie: pop the middle one, reuse its node.
+        q.push(Cycle(9), 'x');
+        q.push(Cycle(9), 'y');
+        q.push(Cycle(9), 'z');
+        assert_eq!(q.pop_tied(1), Some((Cycle(9), 'y')));
+        q.push(Cycle(9), 'w');
+        assert_eq!(q.tie_width(), 3);
+        let listed: Vec<char> = q.ordered().into_iter().map(|(_, &e)| e).collect();
+        assert_eq!(listed, ['x', 'z', 'w']);
+        assert_eq!(q.pop_tied(2), Some((Cycle(9), 'w')));
+        assert_eq!(q.pop_tied(1), Some((Cycle(9), 'z')));
+        assert_eq!(q.pop_tied(0), Some((Cycle(9), 'x')));
+        assert_eq!(q.pop_tied(0), None);
     }
 
     #[test]
