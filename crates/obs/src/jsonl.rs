@@ -137,7 +137,9 @@ impl<W: Write> Drop for JsonlSink<W> {
     }
 }
 
-/// Parses a JSON-lines trace back into events (blank lines are skipped).
+/// Parses a JSON-lines trace back into a [`TraceLog`], one line at a
+/// time (blank lines are skipped), so the events are held in the log's
+/// compact encoding and never as a `Vec<TraceEvent>`.
 ///
 /// A field out of its event's range (a core id past `u16`, say) and a
 /// `NocSend` arriving before its injection, which the machine never
@@ -146,8 +148,8 @@ impl<W: Write> Drop for JsonlSink<W> {
 /// # Errors
 ///
 /// Reports the first I/O, JSON or shape error with its line number.
-pub fn read_jsonl<R: BufRead>(reader: R) -> Result<Vec<TraceEvent>, String> {
-    let mut events = Vec::new();
+pub fn read_jsonl<R: BufRead>(reader: R) -> Result<TraceLog, String> {
+    let mut log = TraceLog::default();
     for (idx, line) in reader.lines().enumerate() {
         let line = line.map_err(|e| format!("line {}: read error: {e}", idx + 1))?;
         if line.trim().is_empty() {
@@ -165,19 +167,9 @@ pub fn read_jsonl<R: BufRead>(reader: R) -> Result<Vec<TraceEvent>, String> {
                 ));
             }
         }
-        events.push(ev);
+        log.push(&ev);
     }
-    Ok(events)
-}
-
-/// Reads a JSON-lines trace file written by [`JsonlSink`].
-///
-/// # Errors
-///
-/// Reports the open failure or the first malformed line.
-pub fn read_jsonl_file(path: &Path) -> Result<Vec<TraceEvent>, String> {
-    let f = std::fs::File::open(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    read_jsonl(io::BufReader::new(f))
+    Ok(log)
 }
 
 #[cfg(test)]
@@ -232,7 +224,7 @@ mod tests {
         assert_eq!(sink.dropped(), 0);
         let bytes = sink.out.take().unwrap().into_inner().unwrap();
         let parsed = read_jsonl(io::BufReader::new(&bytes[..])).unwrap();
-        assert_eq!(parsed, sample_events());
+        assert_eq!(parsed.iter().collect::<Vec<_>>(), sample_events());
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! * **Capture** — [`VecSink`] (unbounded in-memory, into a compact
 //!   [`TraceLog`]) and [`JsonlSink`] (streaming JSON-lines writer)
 //!   implement [`chats_machine::TraceSink`]; [`read_jsonl`] loads a
-//!   written trace back.
+//!   written trace back into a [`TraceLog`].
 //! * **Reconstruction** — [`Timeline::rebuild`] folds the stream into
 //!   per-core transaction attempts, validation-stall and fallback
 //!   intervals, and a strict per-core [`CycleBreakdown`] whose buckets sum
@@ -54,7 +54,7 @@ mod report;
 mod timeline;
 
 pub use chrome::chrome_trace;
-pub use jsonl::{read_jsonl, read_jsonl_file, JsonlSink, VecSink};
+pub use jsonl::{read_jsonl, JsonlSink, VecSink};
 pub use log::{TraceLog, TraceLogIter};
 pub use profile::{profile_value, ProfileMeta};
 pub use report::{text_report, text_report_with_regions};

@@ -13,9 +13,7 @@
 
 use chats_core::{HtmSystem, PolicyConfig};
 use chats_machine::{Machine, Tuning};
-use chats_obs::{
-    chrome_trace, read_jsonl_file, text_report, JsonlSink, Timeline, TraceLog, VecSink,
-};
+use chats_obs::{chrome_trace, read_jsonl, text_report, JsonlSink, Timeline, TraceLog, VecSink};
 use chats_sim::SystemConfig;
 use chats_stats::RunStats;
 use chats_tvm::{Program, ProgramBuilder, Reg, Vm};
@@ -257,10 +255,11 @@ fn jsonl_sink_round_trips_the_machine_stream() {
         }
         assert_eq!(sink.dropped(), 0);
     } // Drop flushes.
-    let parsed = read_jsonl_file(&path).expect("trace parses");
+    let file = std::fs::File::open(&path).expect("open temp trace");
+    let parsed = read_jsonl(std::io::BufReader::new(file)).expect("trace parses");
     std::fs::remove_file(&path).ok();
     assert_eq!(
-        parsed,
+        parsed.iter().collect::<Vec<_>>(),
         events.iter().collect::<Vec<_>>(),
         "JSONL round-trip is lossless"
     );

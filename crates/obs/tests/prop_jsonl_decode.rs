@@ -67,7 +67,8 @@ proptest! {
                 bytes[at] ^= mask;
             }
         }
-        if let Ok(events) = read_jsonl(bytes.as_slice()) {
+        if let Ok(parsed) = read_jsonl(bytes.as_slice()) {
+            let events: Vec<TraceEvent> = parsed.iter().collect();
             let mut sink = VecSink::new();
             for ev in &events {
                 sink.record(ev.clone());
@@ -90,7 +91,10 @@ proptest! {
 fn the_undamaged_trace_decodes_in_full() {
     let lines = recorded_lines();
     assert!(lines.len() > 100, "trace too short: {} events", lines.len());
-    let events = read_jsonl(lines.join("\n").as_bytes()).unwrap();
+    let events: Vec<TraceEvent> = read_jsonl(lines.join("\n").as_bytes())
+        .unwrap()
+        .iter()
+        .collect();
     assert_eq!(events.len(), lines.len());
     let mut sink = VecSink::new();
     for ev in &events {

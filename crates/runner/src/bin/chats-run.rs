@@ -285,7 +285,7 @@ fn cmd_run(args: &Args, scale: Scale) -> ExitCode {
     let mut artifacts = Vec::new();
     let cells = Cells::new(scale, &report.results);
     let shown = ids.iter().flat_map(|id| match id.as_str() {
-        "all" => experiments::available().to_vec(),
+        "all" => experiments::available(),
         id => vec![id],
     });
     for id in shown {

@@ -213,7 +213,7 @@ fn cmd_record(job: &JobSpec, out: &Path) -> Result<(), Failure> {
 /// (empty and 0 when no sidecar exists).
 fn load_timeline(path: &Path, cycles: Option<u64>) -> Result<(Timeline, String, u64), Failure> {
     let file = std::fs::File::open(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    let events = read_jsonl(std::io::BufReader::new(file)).map_err(|e| Failure {
+    let log = read_jsonl(std::io::BufReader::new(file)).map_err(|e| Failure {
         code: 2,
         message: format!("{}: {e}", path.display()),
     })?;
@@ -234,8 +234,7 @@ fn load_timeline(path: &Path, cycles: Option<u64>) -> Result<(Timeline, String, 
         }
     }
     let horizon = cycles.unwrap_or_else(|| {
-        events
-            .iter()
+        log.iter()
             .map(|e| {
                 // NoC arrivals may postdate the last core event.
                 if let chats_machine::TraceEvent::NocSend { arrive, .. } = e {
@@ -247,7 +246,7 @@ fn load_timeline(path: &Path, cycles: Option<u64>) -> Result<(Timeline, String, 
             .max()
             .unwrap_or(0)
     });
-    Ok((Timeline::rebuild(&events, horizon), workload, dropped))
+    Ok((Timeline::rebuild(&log, horizon), workload, dropped))
 }
 
 fn cmd_report(trace: &Path, cycles: Option<u64>, strict: bool) -> Result<(), Failure> {

@@ -1,15 +1,16 @@
 //! Named experiment sets: the paper's figure grids as [`JobSet`]s.
 //!
-//! Each set enumerates exactly the simulation points its figure reads
-//! (including normalization baselines), and [`crate::figures`] renders
-//! the figure from those cells alone. The parameter lists below are the
-//! one declaration both sides use. Grids overlap heavily — fig4, fig5,
-//! fig6 and fig7 read the same points — and the [`JobSet`]
-//! deduplication collapses the overlap to one execution per unique
-//! point.
+//! A figure's grid is declared once, by its renderer in
+//! [`crate::figures`]: [`set`] renders the figure through a recording
+//! view of the cells and returns the jobs it read, normalization
+//! baselines included. Only `evm`, which has no table, lists its grid
+//! here. Grids overlap heavily — fig4, fig5, fig6 and fig7 read the same
+//! points — and the [`JobSet`] deduplication collapses the overlap to
+//! one execution per unique point.
 
+use crate::figures;
 use crate::job::{JobSet, JobSpec};
-use chats_core::{Ablation, ForwardSet, HtmSystem, PolicyConfig};
+use chats_core::{HtmSystem, PolicyConfig};
 use chats_workloads::{registry, RunConfig};
 
 /// The five systems of the paper's main comparison (Figures 4–7).
@@ -21,101 +22,11 @@ pub const MAIN_SYSTEMS: [HtmSystem; 5] = [
     HtmSystem::Pchats,
 ];
 
-/// Fig. 1: naive requester-speculates against the baseline.
-pub const FIG1_SYSTEMS: [HtmSystem; 2] = [HtmSystem::Baseline, HtmSystem::NaiveRs];
-
-/// Fig. 8: the forwarding systems whose forward set is varied.
-pub const FIG8_SYSTEMS: [HtmSystem; 2] = [HtmSystem::Chats, HtmSystem::Pchats];
-
-/// Fig. 8: which blocks may be forwarded; the first is the normalizer.
-pub const FORWARD_SETS: [ForwardSet; 3] = [
-    ForwardSet::ReadWrite,
-    ForwardSet::WriteOnly,
-    ForwardSet::RestrictedReadWrite,
-];
-
-/// Fig. 9 and the headline numbers: each forwarding system next to the
-/// system it extends.
-pub const PAIRED_SYSTEMS: [HtmSystem; 4] = [
-    HtmSystem::Baseline,
-    HtmSystem::Chats,
-    HtmSystem::Power,
-    HtmSystem::Pchats,
-];
-
-/// Fig. 9: retries before the fallback path.
-pub const RETRIES: [u32; 8] = [1u32, 2, 4, 6, 8, 16, 32, 64];
-
-/// Fig. 10: VSB sizes (one table row each); the first is the corner.
-pub const VSB_SIZES: [usize; 6] = [1usize, 2, 4, 8, 16, 32];
-
-/// Fig. 10: validation intervals in cycles; the first is the corner.
-pub const VALIDATION_INTERVALS: [u64; 4] = [50u64, 100, 200, 400];
-
-/// Fig. 11: CHATS and PCHATS against LEVC-BE-Idealized (the grid adds
-/// the baseline they are normalized to).
-pub const FIG11_SYSTEMS: [HtmSystem; 3] = [
-    HtmSystem::Chats,
-    HtmSystem::Pchats,
-    HtmSystem::LevcBeIdealized,
-];
-
-/// Thread scaling: the one workload it runs.
-const SCALING_WORKLOAD: &str = "kmeans-h";
-
-/// Thread scaling: the systems compared.
-pub const SCALING_SYSTEMS: [HtmSystem; 2] = [HtmSystem::Baseline, HtmSystem::Chats];
-
-/// PiC register widths swept by `picwidth`.
-pub const PIC_BITS: [u32; 6] = [2u32, 3, 4, 5, 6, 7];
-
-/// The ablation variants with their table labels; the first (no
-/// ablation) is the normalizer.
-pub const ABLATIONS: [(&str, Ablation); 4] = [
-    (
-        "full CHATS",
-        Ablation {
-            no_pic_overtake: false,
-            single_link_chains: false,
-        },
-    ),
-    (
-        "no PiC overtake (Fig.3F off)",
-        Ablation {
-            no_pic_overtake: true,
-            single_link_chains: false,
-        },
-    ),
-    (
-        "single-link chains (LEVC-like)",
-        Ablation {
-            no_pic_overtake: false,
-            single_link_chains: true,
-        },
-    ),
-    (
-        "both ablations",
-        Ablation {
-            no_pic_overtake: true,
-            single_link_chains: true,
-        },
-    ),
-];
-
 /// The contended subset used for the sensitivity studies (Fig. 10,
 /// ablations, PiC width).
 #[must_use]
 pub fn contended() -> [&'static str; 4] {
     ["genome", "intruder", "kmeans-h", "yada"]
-}
-
-/// Thread counts of the scaling study at `scale`.
-#[must_use]
-pub fn scaling_threads(scale: Scale) -> &'static [usize] {
-    match scale {
-        Scale::Paper => &[1, 2, 4, 8, 16],
-        Scale::Quick => &[1, 2, 4],
-    }
 }
 
 /// Machine scale experiments run at.
@@ -148,161 +59,47 @@ impl Scale {
     }
 }
 
-/// Ids accepted by [`set`], in figure order. `all` (the union of every
-/// set) is accepted too but not listed. `table1` and `table2` describe
-/// the configuration, so their grids are empty.
+/// Ids accepted by [`set`], in figure order: every experiment of
+/// [`crate::figures`] with a table, then `evm`. `all` (the union of every
+/// set) is accepted too but not listed.
 #[must_use]
-pub fn available() -> &'static [&'static str] {
-    &[
-        "table1",
-        "table2",
-        "fig1",
-        "fig4",
-        "fig5",
-        "fig6",
-        "fig7",
-        "fig8",
-        "fig9",
-        "fig10",
-        "fig11",
-        "scaling",
-        "picwidth",
-        "chains",
-        "ablations",
-        "headline",
-        "evm",
-    ]
+pub fn available() -> Vec<&'static str> {
+    figures::EXPERIMENTS
+        .iter()
+        .map(|&(id, _)| id)
+        .chain(["evm"])
+        .collect()
 }
 
 /// The job set for one named experiment at `scale`; `None` for an
-/// unknown id.
+/// unknown id. A figure's set is its grid: the cells its renderer reads,
+/// in the order it reads them (see [`crate::figures`]).
 #[must_use]
 pub fn set(id: &str, scale: Scale) -> Option<JobSet> {
-    let cfg = scale.run_config();
-    let job = |wl: &str, policy: PolicyConfig| JobSpec::new(wl, policy, cfg.clone());
-    let sys = PolicyConfig::for_system;
-    let mut jobs = JobSet::new();
     match id {
-        "table1" | "table2" => {}
-        "fig1" => {
-            for w in registry::all() {
-                for s in FIG1_SYSTEMS {
-                    jobs.push(job(w.name(), sys(s)));
-                }
-            }
-        }
-        // Figures 4–7 all read the same grid: every workload under every
-        // main system at Table II defaults.
-        "fig4" | "fig5" | "fig6" | "fig7" => {
-            for w in registry::all() {
-                for s in MAIN_SYSTEMS {
-                    jobs.push(job(w.name(), sys(s)));
-                }
-            }
-        }
-        "fig8" => {
-            for w in registry::all() {
-                for s in FIG8_SYSTEMS {
-                    for fs in FORWARD_SETS {
-                        jobs.push(job(w.name(), sys(s).with_forward_set(fs)));
-                    }
-                }
-            }
-        }
-        "fig9" => {
-            for w in registry::stamp() {
-                // Normalization baseline at Table II defaults.
-                jobs.push(job(w.name(), sys(HtmSystem::Baseline)));
-                for s in PAIRED_SYSTEMS {
-                    for r in RETRIES {
-                        jobs.push(job(w.name(), sys(s).with_retries(r)));
-                    }
-                }
-            }
-        }
-        "fig10" => {
-            for w in contended() {
-                for vsb in VSB_SIZES {
-                    for iv in VALIDATION_INTERVALS {
-                        jobs.push(job(
-                            w,
-                            sys(HtmSystem::Chats)
-                                .with_vsb_size(vsb)
-                                .with_validation_interval(iv),
-                        ));
-                    }
-                }
-            }
-        }
-        "fig11" => {
-            for w in registry::all() {
-                jobs.push(job(w.name(), sys(HtmSystem::Baseline)));
-                for s in FIG11_SYSTEMS {
-                    jobs.push(job(w.name(), sys(s)));
-                }
-            }
-        }
-        "scaling" => {
-            for s in SCALING_SYSTEMS {
-                for &n in scaling_threads(scale) {
-                    jobs.push(scaling_job(s, n, scale));
-                }
-            }
-        }
-        "picwidth" => {
-            for w in contended() {
-                jobs.push(job(w, sys(HtmSystem::Chats)));
-                for bits in PIC_BITS {
-                    jobs.push(job(w, sys(HtmSystem::Chats).with_pic_bits(bits)));
-                }
-            }
-        }
-        "chains" => {
-            for w in registry::all() {
-                jobs.push(job(w.name(), sys(HtmSystem::Chats)));
-            }
-        }
-        "ablations" => {
-            for w in contended() {
-                for (_, ab) in ABLATIONS {
-                    jobs.push(job(w, sys(HtmSystem::Chats).with_ablation(ab)));
-                }
-            }
-        }
-        "headline" => {
-            for w in registry::stamp() {
-                for s in PAIRED_SYSTEMS {
-                    jobs.push(job(w.name(), sys(s)));
-                }
-            }
-        }
         // The smart-contract frontier: every evm scenario under every
-        // system (including LEVC-BE), clean. Fault-plan variants come
-        // from `--faults`, which rehashes the whole set.
-        "evm" => {
-            for w in registry::evm() {
-                for s in HtmSystem::ALL {
-                    jobs.push(job(w.name(), sys(s)));
-                }
-            }
-        }
+        // system (including LEVC-BE), clean. It has no table to read its
+        // grid from. Fault-plan variants come from `--faults`, which
+        // rehashes the whole set.
+        "evm" => Some(
+            registry::evm()
+                .iter()
+                .flat_map(|w| {
+                    HtmSystem::ALL.map(|s| {
+                        JobSpec::new(w.name(), PolicyConfig::for_system(s), scale.run_config())
+                    })
+                })
+                .collect(),
+        ),
         "all" => {
+            let mut jobs = JobSet::new();
             for id in available() {
                 jobs.merge(set(id, scale).expect("available() ids resolve"));
             }
+            Some(jobs)
         }
-        _ => return None,
+        id => figures::grid(id, scale),
     }
-    Some(jobs)
-}
-
-/// One cell of the scaling study: `system` on `SCALING_WORKLOAD` with
-/// `threads` threads on the `scale` machine.
-#[must_use]
-pub fn scaling_job(system: HtmSystem, threads: usize, scale: Scale) -> JobSpec {
-    let mut cfg = scale.run_config();
-    cfg.threads = threads;
-    JobSpec::new(SCALING_WORKLOAD, PolicyConfig::for_system(system), cfg)
 }
 
 /// The union of several named sets and job labels, in the given order.

@@ -1,36 +1,167 @@
 //! One renderer per table/figure of the paper (see DESIGN.md §5 for the
-//! experiment index).
+//! experiment index), and each renderer is its figure's job grid.
 //!
-//! A renderer reads its cells from a finished run through [`Cells`] and
-//! never simulates: every cell it reads is a job of the figure's grid in
-//! [`crate::experiments::set`], and both sides take their parameter
-//! lists from the same constants. A cell the run does not hold is an
-//! `Err` naming the job's label.
+//! A renderer reads its cells through [`Cells`] and never simulates.
+//! Over a finished run ([`Cells::new`]) a cell the run does not hold is
+//! an `Err` naming the job's label. `grid` renders through a recording
+//! view instead: every read is recorded and answered with one strictly
+//! positive placeholder, and the recorded jobs are the figure's grid,
+//! which [`crate::experiments::set`] returns. So which cells a renderer
+//! reads must not depend on the values it reads.
 
-use crate::experiments::{
-    contended, scaling_job, scaling_threads, Scale, ABLATIONS, FIG11_SYSTEMS, FIG1_SYSTEMS,
-    FIG8_SYSTEMS, FORWARD_SETS, MAIN_SYSTEMS, PAIRED_SYSTEMS, PIC_BITS, RETRIES, SCALING_SYSTEMS,
-    VALIDATION_INTERVALS, VSB_SIZES,
-};
-use crate::job::JobSpec;
-use chats_core::{AbortCause, HtmSystem, PolicyConfig};
+use crate::experiments::{contended, Scale, MAIN_SYSTEMS};
+use crate::job::{JobSet, JobSpec};
+use chats_core::{Ablation, AbortCause, ForwardSet, HtmSystem, PolicyConfig};
 use chats_sim::SystemConfig;
 use chats_stats::{amean, gmean, RunStats, Table};
 use chats_workloads::registry;
+use std::cell::RefCell;
 use std::collections::HashMap;
 
+/// Fig. 1: naive requester-speculates against the baseline.
+const FIG1_SYSTEMS: [HtmSystem; 2] = [HtmSystem::Baseline, HtmSystem::NaiveRs];
+
+/// Fig. 8: the forwarding systems whose forward set is varied.
+const FIG8_SYSTEMS: [HtmSystem; 2] = [HtmSystem::Chats, HtmSystem::Pchats];
+
+/// Fig. 8: which blocks may be forwarded; the first is the normalizer.
+const FORWARD_SETS: [ForwardSet; 3] = [
+    ForwardSet::ReadWrite,
+    ForwardSet::WriteOnly,
+    ForwardSet::RestrictedReadWrite,
+];
+
+/// Fig. 9 and the headline numbers: each forwarding system next to the
+/// system it extends.
+const PAIRED_SYSTEMS: [HtmSystem; 4] = [
+    HtmSystem::Baseline,
+    HtmSystem::Chats,
+    HtmSystem::Power,
+    HtmSystem::Pchats,
+];
+
+/// Fig. 9: retries before the fallback path.
+const RETRIES: [u32; 8] = [1u32, 2, 4, 6, 8, 16, 32, 64];
+
+/// Fig. 10: VSB sizes (one table row each); the first is the corner.
+const VSB_SIZES: [usize; 6] = [1usize, 2, 4, 8, 16, 32];
+
+/// Fig. 10: validation intervals in cycles; the first is the corner.
+const VALIDATION_INTERVALS: [u64; 4] = [50u64, 100, 200, 400];
+
+/// Fig. 11: CHATS and PCHATS against LEVC-BE-Idealized (normalized to
+/// the baseline).
+const FIG11_SYSTEMS: [HtmSystem; 3] = [
+    HtmSystem::Chats,
+    HtmSystem::Pchats,
+    HtmSystem::LevcBeIdealized,
+];
+
+/// Thread scaling: the one workload it runs.
+const SCALING_WORKLOAD: &str = "kmeans-h";
+
+/// Thread scaling: the systems compared.
+const SCALING_SYSTEMS: [HtmSystem; 2] = [HtmSystem::Baseline, HtmSystem::Chats];
+
+/// PiC register widths swept by `picwidth`.
+const PIC_BITS: [u32; 6] = [2u32, 3, 4, 5, 6, 7];
+
+/// The ablation variants with their table labels; the first (no
+/// ablation) is the normalizer.
+const ABLATIONS: [(&str, Ablation); 4] = [
+    (
+        "full CHATS",
+        Ablation {
+            no_pic_overtake: false,
+            single_link_chains: false,
+        },
+    ),
+    (
+        "no PiC overtake (Fig.3F off)",
+        Ablation {
+            no_pic_overtake: true,
+            single_link_chains: false,
+        },
+    ),
+    (
+        "single-link chains (LEVC-like)",
+        Ablation {
+            no_pic_overtake: false,
+            single_link_chains: true,
+        },
+    ),
+    (
+        "both ablations",
+        Ablation {
+            no_pic_overtake: true,
+            single_link_chains: true,
+        },
+    ),
+];
+
+/// Thread counts of the scaling study at `scale`.
+fn scaling_threads(scale: Scale) -> &'static [usize] {
+    match scale {
+        Scale::Paper => &[1, 2, 4, 8, 16],
+        Scale::Quick => &[1, 2, 4],
+    }
+}
+
+/// One cell of the scaling study: `system` on `SCALING_WORKLOAD` with
+/// `threads` threads on the `scale` machine.
+fn scaling_job(system: HtmSystem, threads: usize, scale: Scale) -> JobSpec {
+    let mut cfg = scale.run_config();
+    cfg.threads = threads;
+    JobSpec::new(SCALING_WORKLOAD, PolicyConfig::for_system(system), cfg)
+}
+
+/// A renderer: one experiment's table from its cells.
+type Renderer = fn(&Cells) -> Result<Table, String>;
+
+/// Every experiment with a table, in figure order. `table1` and
+/// `table2` describe the configuration and read no cells, so their grids
+/// are empty.
+pub(crate) const EXPERIMENTS: [(&str, Renderer); 16] = [
+    ("table1", |_| Ok(table1())),
+    ("table2", |_| Ok(table2())),
+    ("fig1", |c| exec_time_table(c, &FIG1_SYSTEMS)),
+    ("fig4", |c| exec_time_table(c, &MAIN_SYSTEMS)),
+    ("fig5", fig5),
+    ("fig6", fig6),
+    ("fig7", fig7),
+    ("fig8", fig8),
+    ("fig9", fig9),
+    ("fig10", fig10),
+    ("fig11", |c| exec_time_table(c, &FIG11_SYSTEMS)),
+    ("scaling", scaling),
+    ("picwidth", picwidth),
+    ("chains", chains),
+    ("ablations", ablations),
+    ("headline", headline),
+];
+
 /// A run's results as the renderers read them: statistics keyed by
-/// [`crate::job::JobId`] value, as in [`crate::RunReport::results`].
+/// [`crate::job::JobId`] value, as in [`crate::RunReport::results`], or
+/// the recording view that records a figure's grid.
 pub struct Cells<'a> {
     scale: Scale,
-    results: &'a HashMap<u64, RunStats>,
+    source: Source<'a>,
+}
+
+enum Source<'a> {
+    Results(&'a HashMap<u64, RunStats>),
+    /// Every read job joins the grid and reads the placeholder.
+    Recording(&'a RefCell<JobSet>, &'a RunStats),
 }
 
 impl<'a> Cells<'a> {
     /// Cells of a run at `scale`.
     #[must_use]
     pub fn new(scale: Scale, results: &'a HashMap<u64, RunStats>) -> Cells<'a> {
-        Cells { scale, results }
+        Cells {
+            scale,
+            source: Source::Results(results),
+        }
     }
 
     /// The statistics of one job.
@@ -39,9 +170,15 @@ impl<'a> Cells<'a> {
     ///
     /// Names the job's label when the run holds no result for it.
     pub fn get(&self, spec: &JobSpec) -> Result<&'a RunStats, String> {
-        self.results
-            .get(&spec.id().0)
-            .ok_or_else(|| format!("missing cell {}", spec.label()))
+        match &self.source {
+            Source::Results(results) => results
+                .get(&spec.id().0)
+                .ok_or_else(|| format!("missing cell {}", spec.label())),
+            Source::Recording(grid, placeholder) => {
+                grid.borrow_mut().push(spec.clone());
+                Ok(*placeholder)
+            }
+        }
     }
 
     /// The statistics of `workload` under `policy` on the scale's default
@@ -60,25 +197,29 @@ impl<'a> Cells<'a> {
 /// names no table (`evm`, `all`, a job label).
 #[must_use]
 pub fn render(id: &str, cells: &Cells) -> Option<Result<Table, String>> {
-    Some(match id {
-        "table1" => Ok(table1()),
-        "table2" => Ok(table2()),
-        "fig1" => exec_time_table(cells, &FIG1_SYSTEMS),
-        "fig4" => exec_time_table(cells, &MAIN_SYSTEMS),
-        "fig5" => fig5(cells),
-        "fig6" => fig6(cells),
-        "fig7" => fig7(cells),
-        "fig8" => fig8(cells),
-        "fig9" => fig9(cells),
-        "fig10" => fig10(cells),
-        "fig11" => exec_time_table(cells, &FIG11_SYSTEMS),
-        "scaling" => scaling(cells),
-        "picwidth" => picwidth(cells),
-        "chains" => chains(cells),
-        "ablations" => ablations(cells),
-        "headline" => headline(cells),
-        _ => return None,
-    })
+    EXPERIMENTS
+        .iter()
+        .find(|&&(name, _)| name == id)
+        .map(|(_, renderer)| renderer(cells))
+}
+
+/// The job grid of experiment `id` at `scale`: every cell its renderer
+/// reads, in reading order; `None` when `id` names no table. The
+/// placeholder every read returns is strictly positive, because the
+/// renderers divide by cycles and take geometric means.
+pub(crate) fn grid(id: &str, scale: Scale) -> Option<JobSet> {
+    let grid = RefCell::new(JobSet::new());
+    let placeholder = RunStats {
+        cycles: 1000,
+        flits: 100,
+        ..RunStats::default()
+    };
+    let cells = Cells {
+        scale,
+        source: Source::Recording(&grid, &placeholder),
+    };
+    render(id, &cells)?.expect("a recording view holds every cell");
+    Some(grid.into_inner())
 }
 
 /// Table I: simulated system parameters.
@@ -539,17 +680,21 @@ mod tests {
     use crate::{Runner, RunnerConfig};
 
     /// Synthetic, strictly positive statistics for exactly the jobs of
-    /// `id`'s grid: rendering them needs no simulation.
+    /// `id`'s grid: rendering them needs no simulation. They vary by job
+    /// and differ from the recording placeholder, so a renderer whose
+    /// reads depend on cell values reads outside its recorded grid.
     fn synthetic(id: &str, scale: Scale) -> HashMap<u64, RunStats> {
-        let stats = RunStats {
-            cycles: 1000,
-            flits: 100,
-            ..RunStats::default()
-        };
         set(id, scale)
             .unwrap()
             .iter()
-            .map(|j| (j.id().0, stats.clone()))
+            .map(|j| {
+                let stats = RunStats {
+                    cycles: 1001 + j.id().0 % 997,
+                    flits: 101 + j.id().0 % 89,
+                    ..RunStats::default()
+                };
+                (j.id().0, stats)
+            })
             .collect()
     }
 
@@ -563,7 +708,7 @@ mod tests {
     #[test]
     fn every_figure_reads_only_its_own_grid() {
         for scale in [Scale::Quick, Scale::Paper] {
-            for &id in available() {
+            for id in available() {
                 let results = synthetic(id, scale);
                 match render(id, &Cells::new(scale, &results)) {
                     Some(Ok(t)) => assert!(!t.is_empty(), "{id} rendered no rows"),
@@ -576,7 +721,7 @@ mod tests {
 
     #[test]
     fn a_missing_cell_is_an_error_naming_it() {
-        for &id in available() {
+        for id in available() {
             let Some(last) = set(id, Scale::Quick).unwrap().iter().last().cloned() else {
                 continue;
             };

@@ -205,7 +205,7 @@ fn unknown_set_and_empty_filter_fail_cleanly() {
         .flat_map(str::split_whitespace)
         .collect();
     for id in chats_runner::experiments::available() {
-        assert!(listed.contains(id), "usage omits {id}:\n{usage}");
+        assert!(listed.contains(&id), "usage omits {id}:\n{usage}");
     }
     let _ = fs::remove_dir_all(&root);
 }

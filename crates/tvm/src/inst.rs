@@ -1,6 +1,5 @@
 //! The TxVM instruction set.
 
-use std::fmt;
 use std::sync::Arc;
 
 /// A register index. TxVM has 32 general-purpose 64-bit registers.
@@ -15,12 +14,6 @@ impl Reg {
         let i = self.0 as usize;
         assert!(i < NUM_REGS, "register r{i} out of range");
         i
-    }
-}
-
-impl fmt::Display for Reg {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "r{}", self.0)
     }
 }
 

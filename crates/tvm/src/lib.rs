@@ -40,7 +40,6 @@
 //! ```
 
 pub mod builder;
-pub mod disasm;
 pub mod gen;
 pub mod inst;
 pub mod vm;
